@@ -1,12 +1,12 @@
 // Batched-ingestion throughput microbenchmark (not a paper figure).
 //
 // Measures stream-phase points/sec of the StreamSink ingestion engine on a
-// synthetic stream, sweeping batch size {1, 64, 1024} × batch threads
-// {1, 4} for SFDM2 (the paper's flagship) and the unconstrained
-// Algorithm 1. Batch size 1 is the per-element `Observe` path — the
-// pre-refactor baseline every other row is compared against. The outputs
-// are bit-identical across all rows (the StreamSink contract); only the
-// cost profile changes.
+// synthetic stream, sweeping batch size {1, 64, 1024} × process fan-out
+// width {1, 4} (`SetFanOutWidth`) for SFDM2 (the paper's flagship) and
+// the unconstrained Algorithm 1. Batch size 1 is the per-element
+// `Observe` path — the pre-refactor baseline every other row is compared
+// against. The outputs are bit-identical across all rows (the StreamSink
+// contract); only the cost profile changes.
 //
 //   ./micro_batch [--n=100000] [--dim=16] [--k=20] [--eps=0.1] [--m=2]
 
@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "util/argparse.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace fdm {
@@ -41,10 +42,10 @@ double IngestAll(StreamSink& sink, const Dataset& ds,
   return static_cast<double>(ds.size()) / timer.ElapsedSeconds();
 }
 
-void Report(const char* algorithm, size_t batch, int threads,
+void Report(const char* algorithm, size_t batch, int width,
             double points_per_sec, double baseline) {
-  std::printf("%-12s batch=%-5zu threads=%d  %12.0f points/sec  %6.2fx\n",
-              algorithm, batch, threads, points_per_sec,
+  std::printf("%-12s batch=%-5zu width=%d  %12.0f points/sec  %6.2fx\n",
+              algorithm, batch, width, points_per_sec,
               baseline > 0 ? points_per_sec / baseline : 1.0);
 }
 
@@ -68,24 +69,24 @@ int Main(int argc, char** argv) {
 
   std::printf("=== micro_batch: StreamSink ingestion throughput ===\n");
   std::printf("n=%zu dim=%zu k=%d m=%d eps=%.2f kernel=%.*s (speedups vs "
-              "batch=1, threads=1 per algorithm)\n\n",
+              "batch=1, width=1 per algorithm)\n\n",
               o.n, o.dim, o.k, o.m, o.epsilon,
               static_cast<int>(simd::ActiveKernelName().size()),
               simd::ActiveKernelName().data());
 
   const size_t kBatchSizes[] = {1, 64, 1024};
-  const int kThreadCounts[] = {1, 4};
+  const int kWidths[] = {1, 4};
 
   // --- Algorithm 1 (unconstrained streaming) ---
   double baseline = 0.0;
-  for (const int threads : kThreadCounts) {
+  for (const int width : kWidths) {
     for (const size_t batch : kBatchSizes) {
-      if (batch == 1 && threads > 1) continue;  // Observe path is 1-thread
+      if (batch == 1 && width > 1) continue;  // Observe never fans out
       StreamingOptions streaming;
       streaming.epsilon = o.epsilon;
       streaming.d_min = bounds.min;
       streaming.d_max = bounds.max;
-      streaming.batch_threads = threads;
+      SetFanOutWidth(width);
       auto algo = StreamingDm::Create(o.k, ds.dim(), ds.metric_kind(),
                                       streaming);
       if (!algo.ok()) {
@@ -94,8 +95,8 @@ int Main(int argc, char** argv) {
         return 1;
       }
       const double pps = IngestAll(*algo, ds, order, batch);
-      if (batch == 1 && threads == 1) baseline = pps;
-      Report("StreamingDM", batch, threads, pps, baseline);
+      if (batch == 1 && width == 1) baseline = pps;
+      Report("StreamingDM", batch, width, pps, baseline);
     }
   }
   std::printf("\n");
@@ -111,14 +112,14 @@ int Main(int argc, char** argv) {
   }
   const FairnessConstraint& constraint = constraint_result.value();
   baseline = 0.0;
-  for (const int threads : kThreadCounts) {
+  for (const int width : kWidths) {
     for (const size_t batch : kBatchSizes) {
-      if (batch == 1 && threads > 1) continue;
+      if (batch == 1 && width > 1) continue;
       StreamingOptions streaming;
       streaming.epsilon = o.epsilon;
       streaming.d_min = bounds.min;
       streaming.d_max = bounds.max;
-      streaming.batch_threads = threads;
+      SetFanOutWidth(width);
       auto algo = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
                                 streaming);
       if (!algo.ok()) {
@@ -126,8 +127,8 @@ int Main(int argc, char** argv) {
         return 1;
       }
       const double pps = IngestAll(*algo, ds, order, batch);
-      if (batch == 1 && threads == 1) baseline = pps;
-      Report("SFDM2", batch, threads, pps, baseline);
+      if (batch == 1 && width == 1) baseline = pps;
+      Report("SFDM2", batch, width, pps, baseline);
     }
   }
   return 0;

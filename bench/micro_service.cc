@@ -22,8 +22,10 @@
 //                           stream is >= X times faster than admitting it
 //   --max-dedup-overhead=Y  fail if dedup=on costs more than fraction Y
 //                           over dedup=off on a clean (duplicate-free)
-//                           stream
+//                           stream, judged by the median on/off time
+//                           ratio of 11 interleaved pairs of runs
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -54,7 +56,11 @@ struct ServiceBenchResult {
   // dedup
   double clean_off_points_per_sec = 0.0;
   double clean_on_points_per_sec = 0.0;
+  // Median and quartiles of the per-pair (on time / off time − 1).
   double clean_overhead_frac = 0.0;
+  double clean_overhead_q1 = 0.0;
+  double clean_overhead_q3 = 0.0;
+  int clean_pairs = 0;
   double dup_reject_points_per_sec = 0.0;
   double dup_admit_points_per_sec = 0.0;
   double dup_speedup = 0.0;
@@ -66,6 +72,17 @@ std::string SpecFor(const Dataset& ds) {
   return "algo=sfdm2 dim=" + std::to_string(ds.dim()) +
          " quotas=10,10 dmin=" + std::to_string(b.min) +
          " dmax=" + std::to_string(b.max);
+}
+
+/// The `q`-quantile of `values` (0 ≤ q ≤ 1), interpolating linearly
+/// between the two nearest order statistics.
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 size_t DirBytes(const std::string& dir) {
@@ -217,15 +234,21 @@ int Main(int argc, char** argv) {
              session.Ingest(batch, /*as_batch=*/true).ok();
     };
 
-    // Clean-stream overhead: the same duplicate-free stream through a
-    // dedup=off and a dedup=on session, best-of-3 fresh runs each (the
-    // guard's cost on a clean stream is one filter probe + insert per
-    // point; it must stay in the noise next to WAL append + admission).
-    constexpr int kReps = 3;
-    double best_off_sec = 0.0;
-    double best_on_sec = 0.0;
-    for (int r = 0; r < kReps; ++r) {
-      for (const bool dedup : {false, true}) {
+    // Clean-stream overhead: the same duplicate-free stream through fresh
+    // dedup=off and dedup=on sessions (the guard's cost on a clean stream
+    // is one filter probe + insert per point; it must stay in the noise
+    // next to WAL append + admission). Run-to-run spread is several times
+    // that 3% bound, so the runs come in interleaved off/on pairs that
+    // alternate which side goes first — drift then hits both sides alike —
+    // and the gate reads the median of the per-pair ratios.
+    constexpr int kPairs = 11;
+    std::vector<double> off_secs;
+    std::vector<double> on_secs;
+    std::vector<double> overheads;
+    for (int r = 0; r < kPairs; ++r) {
+      double sec[2] = {0.0, 0.0};  // [off, on]
+      for (int side = 0; side < 2; ++side) {
+        const bool dedup = (side == 0) == (r % 2 == 1);
         const std::string dir = scratch + "/clean_" +
                                 (dedup ? "on" : "off") + std::to_string(r);
         auto session = DurableSession::Create(
@@ -237,16 +260,20 @@ int Main(int argc, char** argv) {
         }
         Timer timer;
         if (!ingest_all(*session)) return 1;
-        const double sec = timer.ElapsedSeconds();
-        double& best = dedup ? best_on_sec : best_off_sec;
-        if (best == 0.0 || sec < best) best = sec;
+        sec[dedup ? 1 : 0] = timer.ElapsedSeconds();
       }
+      off_secs.push_back(sec[0]);
+      on_secs.push_back(sec[1]);
+      overheads.push_back(sec[1] / sec[0] - 1.0);
     }
     result.clean_off_points_per_sec =
-        static_cast<double>(ds.size()) / best_off_sec;
+        static_cast<double>(ds.size()) / Quantile(off_secs, 0.5);
     result.clean_on_points_per_sec =
-        static_cast<double>(ds.size()) / best_on_sec;
-    result.clean_overhead_frac = best_on_sec / best_off_sec - 1.0;
+        static_cast<double>(ds.size()) / Quantile(on_secs, 0.5);
+    result.clean_overhead_frac = Quantile(overheads, 0.5);
+    result.clean_overhead_q1 = Quantile(overheads, 0.25);
+    result.clean_overhead_q3 = Quantile(overheads, 0.75);
+    result.clean_pairs = kPairs;
 
     // Duplicate handling: the whole stream again. The dedup=on session
     // rejects everything before the WAL; the dedup=off session re-admits
@@ -258,6 +285,7 @@ int Main(int argc, char** argv) {
                                         DurableSessionOptions{});
     if (!reject.ok() || !admit.ok()) return 1;
     if (!ingest_all(*reject) || !ingest_all(*admit)) return 1;
+    constexpr int kReps = 3;
     double best_reject_sec = 0.0;
     double best_admit_sec = 0.0;
     for (int r = 0; r < kReps; ++r) {
@@ -287,10 +315,13 @@ int Main(int argc, char** argv) {
     result.dup_speedup = best_admit_sec / best_reject_sec;
     result.filter_bytes = reject->dedup_filter()->MemoryBytes();
     std::printf("dedup clean:     %10.0f points/sec on, %.0f off "
-                "(overhead %+.1f%%)\n",
+                "(overhead median %+.1f%%, quartiles %+.1f%% .. %+.1f%% "
+                "over %d pairs)\n",
                 result.clean_on_points_per_sec,
                 result.clean_off_points_per_sec,
-                result.clean_overhead_frac * 100.0);
+                result.clean_overhead_frac * 100.0,
+                result.clean_overhead_q1 * 100.0,
+                result.clean_overhead_q3 * 100.0, result.clean_pairs);
     std::printf("dedup reject:    %10.0f points/sec vs %10.0f re-admit "
                 "(%.1fx, filter %zu B)\n",
                 result.dup_reject_points_per_sec,
@@ -324,6 +355,9 @@ int Main(int argc, char** argv) {
        << ", \"clean_on_points_per_sec\": "
        << result.clean_on_points_per_sec
        << ", \"clean_overhead_frac\": " << result.clean_overhead_frac
+       << ", \"clean_overhead_q1\": " << result.clean_overhead_q1
+       << ", \"clean_overhead_q3\": " << result.clean_overhead_q3
+       << ", \"clean_pairs\": " << result.clean_pairs
        << ", \"dup_reject_points_per_sec\": "
        << result.dup_reject_points_per_sec
        << ", \"dup_admit_points_per_sec\": "
@@ -348,9 +382,9 @@ int Main(int argc, char** argv) {
   if (max_dedup_overhead > 0.0 &&
       result.clean_overhead_frac > max_dedup_overhead) {
     std::fprintf(stderr,
-                 "GATE FAILED: dedup=on clean-stream overhead %.1f%%, "
-                 "allowed <= %.1f%%\n",
-                 result.clean_overhead_frac * 100.0,
+                 "GATE FAILED: dedup=on clean-stream overhead %.1f%% "
+                 "(median of %d pairs), allowed <= %.1f%%\n",
+                 result.clean_overhead_frac * 100.0, result.clean_pairs,
                  max_dedup_overhead * 100.0);
     gate_failed = true;
   }

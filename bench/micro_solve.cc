@@ -15,15 +15,18 @@
 //   solve_cached     repeated Solve() through a version-keyed SolveCache —
 //                    the serving hot path (a memoized copy per query)
 //   cold_grid        cache-miss Solve() per registered streaming kind ×
-//                    n {4096, 16384} × k {10, 20} at dim 25 (Euclidean),
-//                    under every reachable kernel target × solve_threads
-//                    {1, 2, 4} — the offline Solve-path routing's SIMD ×
-//                    rung-parallel speedup surface
+//                    n {4096, 16384} × k {10, 20} on dim-25 Euclidean
+//                    blobs, plus one SFDM-2 k=50 cell on simulated Census
+//                    Sex+Age (14 groups, Manhattan) — the many-group,
+//                    large-k regime where the rung fan-out pays — under
+//                    every reachable kernel target × process fan-out
+//                    width {1, 2, 4}: the offline Solve-path routing's
+//                    SIMD × rung-parallel speedup surface
 //   under_ingest     SOLVE latency against a live SessionManager session
 //                    while a writer floods OBSERVE into another session
 //
 // --min-cold-speedup=X (release gate): exit non-zero unless, at the
-// sfdm2 / n=16384 / k=20 / threads=1 cold_grid cell, the best non-scalar
+// sfdm2 / n=16384 / k=20 / width-1 cold_grid cell, the best non-scalar
 // target's cold Solve is at least X× faster than the scalar target's.
 // Before the kernel-routing PR the offline Solve loops *were* scalar
 // regardless of target, so the scalar column doubles as the prior-release
@@ -31,8 +34,8 @@
 // is available.
 //
 // --min-parallel-cold-speedup=X (release gate): exit non-zero unless, at
-// the same sfdm2 / n=16384 / k=20 cell, some target's threads=4 cold
-// Solve is at least X× faster than that target's own threads=1 run (the
+// the same sfdm2 / n=16384 / k=20 cell, some target's width-4 cold Solve
+// is at least X× faster than that target's own width-1 run (the
 // rung-parallel scaling gate; solutions are bit-identical either way).
 
 #include <algorithm>
@@ -47,6 +50,7 @@
 #include "core/sfdm2.h"
 #include "core/sink_snapshot.h"
 #include "core/solve_cache.h"
+#include "data/simulated.h"
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/histogram.h"
@@ -55,6 +59,7 @@
 #include "util/argparse.h"
 #include "util/binary_io.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace fdm {
@@ -63,29 +68,25 @@ namespace {
 /// One cell of the cold-SOLVE grid.
 struct ColdCell {
   std::string kind;
+  std::string data;  // "blobs" or "census_sex_age"
   size_t n = 0;
   int k = 0;
   std::string target;
-  int threads = 1;
+  int width = 1;
   double cold_ms = 0.0;
-  // Both filled after the sweep: vs the scalar target at the same thread
-  // count, and vs this target's own threads=1 run.
+  // Both filled after the sweep: vs the scalar target at the same width,
+  // and vs this target's own width-1 run.
   double speedup_vs_scalar = 0.0;
   double parallel_speedup = 0.0;
 };
 
-/// Cache-miss Solve() cost per kernel target for one (kind, n, k) cell:
-/// ingest once, snapshot, then per target restore a fresh sink (empty
-/// memo) and time Solve() alone. Returns false if the kind cannot run the
-/// cell (creation or solve error) — the grid skips it.
-bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
+/// Cache-miss Solve() cost per kernel target and width for one (kind,
+/// data, k) cell: ingest once, snapshot, then per target and width restore
+/// a fresh sink (empty memo) and time Solve() alone. Returns false if the
+/// kind cannot run the cell (creation or solve error) — the grid skips it.
+bool TimeColdCell(AlgorithmKind kind, const Dataset& ds,
+                  const std::string& data, const std::vector<int>& quotas,
                   int cold_reps, std::vector<ColdCell>& cells) {
-  BlobsOptions data_options;
-  data_options.n = n;
-  data_options.dim = 25;  // the paper's Adult-scale dimensionality
-  data_options.num_groups = 2;
-  data_options.seed = 7 + n;
-  const Dataset ds = MakeBlobs(data_options);
   const DistanceBounds bounds = EstimateDistanceBounds(ds, 1000, 1);
 
   const AlgorithmEntry* entry = AlgorithmRegistry::Instance().Find(kind);
@@ -110,24 +111,27 @@ bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
   const int k = config.constraint.TotalK();
   for (const std::string_view target : simd::AvailableKernelTargets()) {
     FDM_CHECK(simd::internal::ForceKernelTargetForTest(target));
-    for (const int threads : {1, 2, 4}) {
+    for (const int width : {1, 2, 4}) {
       double total = 0.0;
       for (int r = 0; r < cold_reps; ++r) {
         auto reader = SnapshotReader::FromBytes(bytes);
         if (!reader.ok()) return false;
         auto fresh = RestoreSink(*reader);
         if (!fresh.ok()) return false;
-        (*fresh)->SetSolveThreads(threads);
+        SetFanOutWidth(width);
         Timer timer;
-        if (!(*fresh)->Solve().ok()) return false;
+        const bool solved = (*fresh)->Solve().ok();
         total += timer.ElapsedSeconds();
+        SetFanOutWidth(1);
+        if (!solved) return false;
       }
       ColdCell cell;
       cell.kind = std::string(AlgorithmName(kind));
-      cell.n = n;
+      cell.data = data;
+      cell.n = ds.size();
       cell.k = k;
       cell.target = std::string(target);
-      cell.threads = threads;
+      cell.width = width;
       cell.cold_ms = total * 1000.0 / cold_reps;
       cells.push_back(cell);
     }
@@ -256,31 +260,51 @@ int Main(int argc, char** argv) {
       const AlgorithmEntry* entry = AlgorithmRegistry::Instance().Find(kind);
       if (entry == nullptr || !entry->streaming) continue;
       for (const size_t grid_n : {size_t{4096}, size_t{16384}}) {
+        BlobsOptions blobs;
+        blobs.n = grid_n;
+        blobs.dim = 25;  // the paper's Adult-scale dimensionality
+        blobs.num_groups = 2;
+        blobs.seed = 7 + grid_n;
+        const Dataset grid_ds = MakeBlobs(blobs);
         for (const std::vector<int>& quotas :
              {std::vector<int>{5, 5}, std::vector<int>{10, 10}}) {
-          TimeColdCell(kind, grid_n, quotas, cold_reps, cold_cells);
+          TimeColdCell(kind, grid_ds, "blobs", quotas, cold_reps,
+                       cold_cells);
         }
       }
     }
-    // Speedups: vs the scalar column of the same (kind, n, k, threads)
-    // cell, and vs the same target's threads=1 column.
+    // The crossover cell: many groups and a large k give every rung enough
+    // post-processing that the rung fan-out pays for its dispatch.
+    const Dataset census =
+        SimulatedCensus(CensusGrouping::kSexAge, /*seed=*/1, 16384);
+    const auto census_quotas = EqualRepresentation(50, census.num_groups());
+    FDM_CHECK(census_quotas.ok());
+    TimeColdCell(AlgorithmKind::kSfdm2, census, "census_sex_age",
+                 census_quotas->quotas, cold_reps, cold_cells);
+    // Speedups: vs the scalar column of the same (kind, data, n, k, width)
+    // cell, and vs the same target's width-1 column.
     for (ColdCell& c : cold_cells) {
       for (const ColdCell& s : cold_cells) {
-        if (s.kind != c.kind || s.n != c.n || s.k != c.k) continue;
-        if (s.target == "scalar" && s.threads == c.threads) {
+        if (s.kind != c.kind || s.data != c.data || s.n != c.n ||
+            s.k != c.k) {
+          continue;
+        }
+        if (s.target == "scalar" && s.width == c.width) {
           c.speedup_vs_scalar = c.cold_ms > 0.0 ? s.cold_ms / c.cold_ms : 0.0;
         }
-        if (s.target == c.target && s.threads == 1) {
+        if (s.target == c.target && s.width == 1) {
           c.parallel_speedup = c.cold_ms > 0.0 ? s.cold_ms / c.cold_ms : 0.0;
         }
       }
     }
-    std::printf("%-14s %6s %3s %-7s %3s %12s %9s %9s\n", "kind", "n", "k",
-                "target", "thr", "cold ms", "vs scal", "vs 1thr");
+    std::printf("%-14s %-14s %6s %3s %-7s %5s %12s %9s %9s\n", "kind",
+                "data", "n", "k", "target", "width", "cold ms", "vs scal",
+                "vs w=1");
     for (const ColdCell& c : cold_cells) {
-      std::printf("%-14s %6zu %3d %-7s %3d %12.3f %8.2fx %8.2fx\n",
-                  c.kind.c_str(), c.n, c.k, c.target.c_str(), c.threads,
-                  c.cold_ms, c.speedup_vs_scalar, c.parallel_speedup);
+      std::printf("%-14s %-14s %6zu %3d %-7s %5d %12.3f %8.2fx %8.2fx\n",
+                  c.kind.c_str(), c.data.c_str(), c.n, c.k, c.target.c_str(),
+                  c.width, c.cold_ms, c.speedup_vs_scalar,
+                  c.parallel_speedup);
     }
   }
 
@@ -366,9 +390,10 @@ int Main(int argc, char** argv) {
        << "  \"cold_grid\": [\n";
   for (size_t i = 0; i < cold_cells.size(); ++i) {
     const ColdCell& c = cold_cells[i];
-    json << "    {\"kind\": \"" << c.kind << "\", \"n\": " << c.n
+    json << "    {\"kind\": \"" << c.kind << "\", \"data\": \"" << c.data
+         << "\", \"n\": " << c.n
          << ", \"k\": " << c.k << ", \"target\": \"" << c.target
-         << "\", \"threads\": " << c.threads
+         << "\", \"width\": " << c.width
          << ", \"cold_ms\": " << c.cold_ms
          << ", \"speedup_vs_scalar\": " << c.speedup_vs_scalar
          << ", \"parallel_speedup\": " << c.parallel_speedup << "}"
@@ -409,7 +434,7 @@ int Main(int argc, char** argv) {
     std::string best_target;
     for (const ColdCell& c : cold_cells) {
       if (c.kind == "SFDM2" && c.n == 16384 && c.k == 20 &&
-          c.threads == 1 && c.target != "scalar" &&
+          c.width == 1 && c.target != "scalar" &&
           c.speedup_vs_scalar > best) {
         best = c.speedup_vs_scalar;
         best_target = c.target;
@@ -426,7 +451,7 @@ int Main(int argc, char** argv) {
                 "n 16384 / k 20 (>= %.2fx)\n",
                 best_target.c_str(), best, min_cold_speedup);
   }
-  // The acceptance gate of the rung-parallel query path: 4 solve threads
+  // The acceptance gate of the rung-parallel query path: width 4
   // must beat the same target's sequential cold SOLVE by the requested
   // factor at the paper-scale cell.
   if (min_parallel_cold_speedup > 0.0) {
@@ -440,7 +465,7 @@ int Main(int argc, char** argv) {
     std::string best_target;
     for (const ColdCell& c : cold_cells) {
       if (c.kind == "SFDM2" && c.n == 16384 && c.k == 20 &&
-          c.threads == 4 && c.parallel_speedup > best) {
+          c.width == 4 && c.parallel_speedup > best) {
         best = c.parallel_speedup;
         best_target = c.target;
       }

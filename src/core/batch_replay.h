@@ -43,8 +43,9 @@ namespace fdm {
 /// the counts are chunking-invariant — they feed the rung-level and
 /// sink-level state versions that key the incremental query path.
 ///
-/// The query path mirrors this determinism contract exactly
-/// (`SolveParallelism`, core/solve_pool.h): a parallel `Solve()` fans its
+/// Both the replay and the query path fan out through `FanOut`
+/// (util/thread_pool.h) at the one process width, and the query path
+/// mirrors this determinism contract exactly: a parallel `Solve()` fans its
 /// per-rung (or per-shard) post-processing out with task `j` owning rung
 /// `j`'s inputs and writing only slot `j` of the result array — each task
 /// builds its own scratch (`KernelWorkspace` mirrors included) — while
@@ -54,8 +55,8 @@ namespace fdm {
 /// to the sequential solve, for the same structural reason: rungs share
 /// no state, and every cross-rung decision happens in one fixed order.
 template <typename BlindAt, typename SpecificAt>
-void ReplayBatchRungMajor(BatchParallelism& parallelism, size_t rungs,
-                          int num_groups, std::span<const StreamPoint> batch,
+void ReplayBatchRungMajor(size_t rungs, int num_groups,
+                          std::span<const StreamPoint> batch,
                           const std::vector<size_t>* by_group,
                           const Metric& metric, BlindAt&& blind_at,
                           SpecificAt&& specific_at, size_t* rung_kept) {
@@ -74,7 +75,7 @@ void ReplayBatchRungMajor(BatchParallelism& parallelism, size_t rungs,
           "fdm_ingest_rung_scan_ns",
           "per-rung admission-scan latency per batch (1/16 sampled)");
 #endif
-  parallelism.Run(rungs, [&](size_t j) {
+  FanOut(rungs, [&](size_t j) {
 #ifndef FDM_NO_METRICS
     // Clock reads only on sampled batches — an unconditional timer would
     // reintroduce the per-rung cost the sampling exists to avoid.

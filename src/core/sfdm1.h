@@ -8,13 +8,11 @@
 #include "core/fairness.h"
 #include "core/guess_ladder.h"
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "core/streaming_dm.h"
 #include "geo/metric.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -50,7 +48,7 @@ class Sfdm1 : public StreamSink {
   /// Batched ingestion: rung `j`'s three candidates (`S_µj`, `S_µj,0`,
   /// `S_µj,1`) are touched only by rung `j`'s task, which replays the
   /// batch in stream order — bit-identical to per-element `Observe`,
-  /// partitioned over `batch_threads`.
+  /// fanned out over the process width.
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Advances by the number of successful candidate insertions
@@ -63,16 +61,11 @@ class Sfdm1 : public StreamSink {
   ///
   /// Does not consume the stream state: more elements may be observed and
   /// `Solve` called again (anytime behaviour). Per-rung balancing fans
-  /// out over `solve_threads` (each task reads only rung `j`'s candidates
-  /// and writes only slot `j`); the final best-rung selection stays a
-  /// sequential ascending-µ scan with strict `>`, so output is
-  /// bit-identical to the sequential path at any thread count.
+  /// out over the process width (each task reads only rung `j`'s
+  /// candidates and writes only slot `j`); the final best-rung selection
+  /// stays a sequential ascending-µ scan with strict `>`, so output is
+  /// bit-identical to the sequential path at any width.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Distinct elements stored across all candidates (space-usage measure).
   size_t StoredElements() const override;
@@ -91,7 +84,7 @@ class Sfdm1 : public StreamSink {
 
  private:
   Sfdm1(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads, int solve_threads);
+        GuessLadder ladder);
 
   /// Balances a copy of the group-blind candidate for guess index `j`
   /// (which must be in `U'`) and returns it; `nullopt`-like empty buffer is
@@ -105,8 +98,6 @@ class Sfdm1 : public StreamSink {
   GuessLadder ladder_;
   std::vector<StreamingCandidate> blind_;      // S_µ, capacity k
   std::vector<StreamingCandidate> specific_[2];  // S_µ,i, capacity k_i
-  BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<size_t> by_group_[2];  // per-group positions scratch
   std::vector<size_t> rung_kept_;    // per-rung batch insert counts scratch

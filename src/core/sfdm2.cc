@@ -16,6 +16,7 @@
 #include "core/matroid_intersection.h"
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -33,15 +34,13 @@ obs::Histogram& RungSolveHist() {
 }  // namespace
 
 Sfdm2::Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-             GuessLadder ladder, int batch_threads, int solve_threads)
+             GuessLadder ladder)
     : constraint_(std::move(constraint)),
       k_(constraint_.TotalK()),
       m_(constraint_.num_groups()),
       dim_(dim),
       metric_(metric),
       ladder_(std::move(ladder)),
-      parallelism_(batch_threads),
-      solve_parallelism_(solve_threads),
       rung_version_(ladder_.size(), 0),
       rung_solve_(ladder_.size()) {
   blind_.reserve(ladder_.size());
@@ -66,8 +65,7 @@ Result<Sfdm2> Sfdm2::Create(const FairnessConstraint& constraint, size_t dim,
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
-  return Sfdm2(constraint, dim, metric, std::move(ladder.value()),
-               options.batch_threads, options.solve_threads);
+  return Sfdm2(constraint, dim, metric, std::move(ladder.value()));
 }
 
 bool Sfdm2::Observe(const StreamPoint& point) {
@@ -109,7 +107,7 @@ size_t Sfdm2::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   }
   rung_kept_.assign(rungs, 0);
   ReplayBatchRungMajor(
-      parallelism_, rungs, m_, batch, by_group_.data(), metric_,
+      rungs, m_, batch, by_group_.data(), metric_,
       [&](size_t j) -> StreamingCandidate& { return blind_[j]; },
       [&](int g, size_t j) -> StreamingCandidate& {
         return specific_[static_cast<size_t>(g) * rungs + j];
@@ -235,7 +233,7 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
 Result<Solution> Sfdm2::Solve() const {
   const size_t rungs = ladder_.size();
 
-  // Phase 1 — memo fill, fanned out over `solve_threads`: re-run the
+  // Phase 1 — memo fill, fanned out over the process width: re-run the
   // post-processing only for rungs whose candidates changed since the
   // memoized run. A rung's outcome is a pure function of its own
   // candidates (and the ablation knobs, which invalidate the memo when
@@ -243,7 +241,7 @@ Result<Solution> Sfdm2::Solve() const {
   // candidates and its own `rung_solve_[j]` slot — `SolveRung` builds all
   // of its scratch (ground set, cluster labels, kernel mirrors) locally,
   // so concurrent tasks share nothing mutable.
-  solve_parallelism_.Run(rungs, [this](size_t j) {
+  FanOut(rungs, [this](size_t j) {
     RungSolve& memo = rung_solve_[j];
     if (memo.computed && memo.version == rung_version_[j]) return;
     obs::ScopedTimer timer(RungSolveHist());
@@ -254,8 +252,8 @@ Result<Solution> Sfdm2::Solve() const {
 
   // Phase 2 — final selection (line 19), identical to the historical
   // single-pass scan: ascending µ, strictly-greater diversity wins, so
-  // the winner is bit-identical to the sequential path at any thread
-  // count. Only the winner is copied out of the memo, after the scan.
+  // the winner is bit-identical to the sequential path at any width.
+  // Only the winner is copied out of the memo, after the scan.
   const RungSolve* best = nullptr;
   for (size_t j = 0; j < rungs; ++j) {
     const RungSolve& memo = rung_solve_[j];
@@ -290,9 +288,7 @@ Status Sfdm2::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads(),
-                                 solve_parallelism_.solve_threads());
+  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
   writer.WriteBool(warm_start_);
   writer.WriteBool(greedy_augmentation_);
   writer.WriteI64(observed_);

@@ -9,13 +9,11 @@
 #include "core/fairness.h"
 #include "core/guess_ladder.h"
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "core/streaming_dm.h"
 #include "geo/metric.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -58,8 +56,8 @@ class Sfdm2 : public StreamSink {
 
   /// Batched ingestion: rung `j`'s candidates (`S_µj` and `S_µj,i` for all
   /// `i`) are touched only by rung `j`'s task, which replays the batch in
-  /// stream order — bit-identical to per-element `Observe`, partitioned
-  /// over `batch_threads`.
+  /// stream order — bit-identical to per-element `Observe`, fanned out
+  /// over the process width.
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Advances by the number of successful candidate insertions
@@ -81,11 +79,11 @@ class Sfdm2 : public StreamSink {
   /// coarsest split that keeps the output bit-identical to an
   /// uninterrupted from-scratch `Solve()` at every stream prefix.
   ///
-  /// Internally rung-parallel: dirty rungs fan out over `solve_threads`
+  /// Internally rung-parallel: dirty rungs fan out over the process width
   /// (each task fills only its own `rung_solve_[j]` memo slot and builds
   /// its own `KernelWorkspace` scratch), while the final best-rung
   /// selection stays a sequential ascending-µ scan with strict `>` — so
-  /// output is bit-identical to the sequential path at any thread count.
+  /// output is bit-identical to the sequential path at any width.
   ///
   /// `Solve()` stays logically const (the memo is mutable scratch), but
   /// concurrent *calls* must still be externally serialized — two
@@ -94,11 +92,6 @@ class Sfdm2 : public StreamSink {
   /// issues one `Solve()` at a time and lets the rung fan-out use the
   /// threads.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Distinct elements stored across all candidates (space-usage measure).
   size_t StoredElements() const override;
@@ -140,7 +133,7 @@ class Sfdm2 : public StreamSink {
 
  private:
   Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads, int solve_threads);
+        GuessLadder ladder);
 
   /// One memoized per-guess post-processing outcome (see `Solve`).
   struct RungSolve {
@@ -172,8 +165,6 @@ class Sfdm2 : public StreamSink {
   std::vector<StreamingCandidate> blind_;  // S_µ, capacity k, per rung
   // specific_[i * ladder_.size() + j] = S_µj,i, capacity k.
   std::vector<StreamingCandidate> specific_;
-  BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<std::vector<size_t>> by_group_;  // per-group positions scratch
   std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch

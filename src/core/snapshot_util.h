@@ -32,27 +32,33 @@ inline MetricKind ReadMetricKind(SnapshotReader& reader) {
   return static_cast<MetricKind>(byte);
 }
 
-/// The `(dim, metric, d_min, d_max, ε, batch_threads, solve_threads)`
-/// block shared by the fixed-ladder algorithms' snapshots — one
+/// Snapshots once stored per-sink ingest and solve thread counts. The
+/// threads are a process setting now (`FanOut`, util/thread_pool.h), but
+/// the format keeps those `i32` slots so session directories written
+/// before the change still open: writers fill each slot with this
+/// constant and readers read the slot and discard it.
+inline constexpr int32_t kRetiredThreadSlot = 1;
+
+/// The `(dim, metric, d_min, d_max, ε)` block (plus the two retired
+/// thread slots) shared by the fixed-ladder algorithms' snapshots — one
 /// writer/reader pair so the field order can never drift between
 /// StreamingDm, Sfdm1, and Sfdm2.
 inline void WriteStreamingHeader(SnapshotWriter& writer, size_t dim,
                                  const Metric& metric,
-                                 const GuessLadder& ladder,
-                                 int batch_threads, int solve_threads) {
+                                 const GuessLadder& ladder) {
   writer.WriteU64(dim);
   writer.WriteU8(static_cast<uint8_t>(metric.kind()));
   writer.WriteDouble(ladder.d_min());
   writer.WriteDouble(ladder.d_max());
   writer.WriteDouble(ladder.epsilon());
-  writer.WriteI32(batch_threads);
-  writer.WriteI32(solve_threads);
+  writer.WriteI32(kRetiredThreadSlot);  // was batch_threads
+  writer.WriteI32(kRetiredThreadSlot);  // was solve_threads
 }
 
 struct StreamingHeader {
   size_t dim = 0;
   MetricKind metric = MetricKind::kEuclidean;
-  StreamingOptions options;  // d_min, d_max, ε, batch/solve threads
+  StreamingOptions options;  // d_min, d_max, ε
 };
 
 inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
@@ -62,8 +68,8 @@ inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
   header.options.d_min = reader.ReadDouble();
   header.options.d_max = reader.ReadDouble();
   header.options.epsilon = reader.ReadDouble();
-  header.options.batch_threads = reader.ReadI32();
-  header.options.solve_threads = reader.ReadI32();
+  (void)reader.ReadI32();  // retired batch_threads slot
+  (void)reader.ReadI32();  // retired solve_threads slot
   return header;
 }
 

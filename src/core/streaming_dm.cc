@@ -9,18 +9,13 @@
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 
 StreamingDm::StreamingDm(int k, size_t dim, MetricKind metric,
-                         GuessLadder ladder, int batch_threads,
-                         int solve_threads)
-    : k_(k),
-      dim_(dim),
-      metric_(metric),
-      ladder_(std::move(ladder)),
-      parallelism_(batch_threads),
-      solve_parallelism_(solve_threads) {
+                         GuessLadder ladder)
+    : k_(k), dim_(dim), metric_(metric), ladder_(std::move(ladder)) {
   candidates_.reserve(ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
     candidates_.emplace_back(ladder_.At(j), static_cast<size_t>(k_), dim_);
@@ -36,8 +31,7 @@ Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
-  return StreamingDm(k, dim, metric, std::move(ladder.value()),
-                     options.batch_threads, options.solve_threads);
+  return StreamingDm(k, dim, metric, std::move(ladder.value()));
 }
 
 bool StreamingDm::Observe(const StreamPoint& point) {
@@ -67,7 +61,7 @@ size_t StreamingDm::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   // chunking-invariant kept counts in one place for all ladder sinks.
   rung_kept_.assign(candidates_.size(), 0);
   ReplayBatchRungMajor(
-      parallelism_, candidates_.size(), /*num_groups=*/0, batch,
+      candidates_.size(), /*num_groups=*/0, batch,
       /*by_group=*/nullptr, metric_,
       [&](size_t j) -> StreamingCandidate& { return candidates_[j]; },
       [&](int, size_t) -> StreamingCandidate& { return candidates_.front(); },
@@ -79,15 +73,15 @@ size_t StreamingDm::ObserveBatch(std::span<const StreamPoint> raw_batch) {
 }
 
 Result<Solution> StreamingDm::Solve() const {
-  // Phase 1 — per-candidate diversity, fanned out over `solve_threads`:
+  // Phase 1 — per-candidate diversity, fanned out over the process width:
   // each task writes only its own slot, and `MinPairwiseDistance` touches
   // nothing but the candidate's points and local scratch. Phase 2 — the
   // winner scan — stays a sequential ascending-µ pass with strict `>`, so
   // the chosen rung (and hence the output) is bit-identical to the
-  // sequential path at any thread count.
+  // sequential path at any width.
   std::vector<double> diversity(candidates_.size(), -1.0);
   std::vector<uint8_t> full(candidates_.size(), 0);
-  solve_parallelism_.Run(candidates_.size(), [&](size_t j) {
+  FanOut(candidates_.size(), [&](size_t j) {
     const StreamingCandidate& candidate = candidates_[j];
     if (!candidate.Full()) return;
     full[j] = 1;
@@ -122,9 +116,7 @@ Result<Solution> StreamingDm::Solve() const {
 Status StreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteI32(k_);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads(),
-                                 solve_parallelism_.solve_threads());
+  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteU64(candidates_.size());

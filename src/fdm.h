@@ -58,5 +58,6 @@
 #include "geo/simd/kernel_dispatch.h"  // IWYU pragma: export
 #include "util/binary_io.h"         // IWYU pragma: export
 #include "util/status.h"            // IWYU pragma: export
+#include "util/thread_pool.h"       // IWYU pragma: export
 
 #endif  // FDM_FDM_H_

@@ -19,8 +19,6 @@ StreamingOptions StreamingOptionsFrom(const RunConfig& config) {
   streaming.epsilon = config.epsilon;
   streaming.d_min = config.bounds.min;
   streaming.d_max = config.bounds.max;
-  streaming.batch_threads = config.batch_threads;
-  streaming.solve_threads = config.solve_threads;
   return streaming;
 }
 
@@ -124,8 +122,6 @@ AlgorithmEntry ShardedEntry() {
   entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
     ShardedStreamingOptions sharding;
     sharding.num_shards = config.num_shards;
-    sharding.batch_threads = config.batch_threads;
-    sharding.solve_threads = config.solve_threads;
     return WrapSink(ShardedStreamingDm::Create(
         config.constraint.TotalK(), dataset.dim(), dataset.metric_kind(),
         StreamingOptionsFrom(config), sharding));

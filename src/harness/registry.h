@@ -62,8 +62,7 @@ class AlgorithmRegistry {
   std::map<AlgorithmKind, AlgorithmEntry> entries_;
 };
 
-/// The streaming options a config implies (ε, bounds, batch + solve
-/// threads).
+/// The streaming options a config implies (ε and distance bounds).
 StreamingOptions StreamingOptionsFrom(const RunConfig& config);
 
 }  // namespace fdm

@@ -1,6 +1,5 @@
 #include "net/dispatch.h"
 
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -69,12 +68,9 @@ void AppendIds(const Solution& solution, std::string* out) {
 
 /// Parses `<id> <group> <c0> <c1> ...` from `in` into the output params.
 /// Returns "" on success, else the reason ("requires <id> <group>
-/// <coords...>", "requires numeric coordinates", "requires finite
-/// coordinates"). Non-finite coordinates are rejected here — before
-/// anything reaches the WAL — because `operator>>` happily parses `inf`
-/// and `nan`, and a persisted non-finite point would poison every future
-/// distance comparison AND come back at every recovery replay
-/// (`ReadDatasetCsv` was hardened against exactly this class of input).
+/// <coords...>", "requires numeric coordinates"). Only the syntax is
+/// checked here; the values (dimension, group range, finiteness) are
+/// validated once by `DurableSession::Ingest`, before the WAL append.
 std::string ParsePointFields(std::istringstream& in, int64_t* id,
                              int32_t* group, std::vector<double>* coords) {
   if (!(in >> *id >> *group)) {
@@ -85,17 +81,10 @@ std::string ParsePointFields(std::istringstream& in, int64_t* id,
   while (in >> c) coords->push_back(c);
   // `>>` stops silently at a non-numeric token; distinguish "end of line"
   // from "garbage mid-line" — a malformed point must be rejected, never
-  // half-parsed (the session also re-validates the dimension before
-  // anything reaches the WAL).
+  // half-parsed.
   if (coords->size() == start || !in.eof()) {
     coords->resize(start);
     return "requires numeric coordinates";
-  }
-  for (size_t i = start; i < coords->size(); ++i) {
-    if (!std::isfinite((*coords)[i])) {
-      coords->resize(start);
-      return "requires finite coordinates";
-    }
   }
   return "";
 }

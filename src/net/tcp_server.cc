@@ -102,7 +102,7 @@ struct TcpServer::Impl {
   std::mutex solve_mu;
   std::condition_variable solve_cv;
   std::deque<SolveTask> solve_queue;
-  std::vector<std::thread> solve_threads;
+  std::vector<std::thread> solve_worker_threads;
   bool solve_stop = false;
 
   explicit Impl(RequestDispatcher* d, TcpServerOptions opts)
@@ -468,7 +468,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(
     impl->loops[i]->thread = std::thread([raw, i] { raw->LoopRun(i); });
   }
   for (int i = 0; i < impl->options.solve_workers; ++i) {
-    impl->solve_threads.emplace_back([raw] { raw->SolveWorker(); });
+    impl->solve_worker_threads.emplace_back([raw] { raw->SolveWorker(); });
   }
   return std::unique_ptr<TcpServer>(new TcpServer(std::move(impl)));
 }
@@ -498,7 +498,7 @@ void TcpServer::Stop() {
     impl_->solve_stop = true;
   }
   impl_->solve_cv.notify_all();
-  for (auto& worker : impl_->solve_threads) {
+  for (auto& worker : impl_->solve_worker_threads) {
     if (worker.joinable()) worker.join();
   }
   ::close(impl_->listen_fd);

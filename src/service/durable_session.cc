@@ -1,6 +1,7 @@
 #include "service/durable_session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -234,12 +235,10 @@ Result<DurableSession> DurableSession::Create(std::string dir,
 
   DurableSession session(std::move(dir), std::move(spec), options);
   session.sink_ = std::move(sink.value());
-  if (options.solve_threads != 0) {
-    session.sink_->SetSolveThreads(options.solve_threads);
-  }
   session.wal_ =
       std::make_unique<WriteAheadLog>(std::move(wal.value()));
   session.dim_ = parsed->dim;
+  session.groups_ = parsed->GroupCount();
   if (parsed->dedup) session.dedup_ = std::make_unique<DedupFilter>();
   return session;
 }
@@ -314,14 +313,9 @@ Result<DurableSession> DurableSession::Open(std::string dir,
 
   DurableSession session(std::move(dir), std::move(spec), options);
   session.sink_ = std::move(sink);
-  // Re-apply the server-level query parallelism after every restore: the
-  // snapshot carries the spec-configured value, and the override is a
-  // deployment knob, not stream state (bit-identity makes this safe).
-  if (options.solve_threads != 0) {
-    session.sink_->SetSolveThreads(options.solve_threads);
-  }
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
   session.dim_ = parsed->dim;
+  session.groups_ = parsed->GroupCount();
   session.snapshot_seq_ = snapshot_seq;
   session.counters_ = counters;
   session.dedup_ = std::move(dedup);
@@ -329,12 +323,27 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   return session;
 }
 
-Status DurableSession::CheckDim(std::span<const StreamPoint> batch) const {
+Status DurableSession::ValidatePoints(
+    std::span<const StreamPoint> batch) const {
   for (const StreamPoint& point : batch) {
     if (point.coords.size() != dim_) {
       return Status::InvalidArgument(
           "point dimension " + std::to_string(point.coords.size()) +
           " does not match session dim " + std::to_string(dim_));
+    }
+    if (groups_ > 0 &&
+        (point.group < 0 || static_cast<size_t>(point.group) >= groups_)) {
+      return Status::InvalidArgument(
+          "point group " + std::to_string(point.group) +
+          " out of range [0, " + std::to_string(groups_) + ")");
+    }
+    // `operator>>` parses `inf`/`nan` on some standard libraries, and a
+    // persisted non-finite point would poison every later distance
+    // comparison and come back at every recovery replay.
+    for (const double c : point.coords) {
+      if (!std::isfinite(c)) {
+        return Status::InvalidArgument("point coordinates must be finite");
+      }
     }
   }
   return Status::Ok();
@@ -353,7 +362,7 @@ Status DurableSession::ObserveBatch(std::span<const StreamPoint> batch) {
 Result<IngestOutcome> DurableSession::Ingest(
     std::span<const StreamPoint> batch, bool as_batch) {
   if (!broken_.ok()) return broken_;
-  if (Status s = CheckDim(batch); !s.ok()) return s;
+  if (Status s = ValidatePoints(batch); !s.ok()) return s;
 
   IngestOutcome outcome;
   // Probe the duplicate guard BEFORE the WAL append: an already-seen id is

@@ -104,13 +104,6 @@ struct DurableSessionOptions {
   /// Snapshots retained on disk (older ones are pruned after each new one;
   /// at least 1).
   size_t keep_snapshots = 2;
-  /// Query-path parallelism applied to the sink after every build/restore
-  /// via `StreamSink::SetSolveThreads`: 0 = keep whatever the sink spec
-  /// (or the restored snapshot) configured, 1 = force sequential, n = fan
-  /// cold solves out over up to n workers of the shared solve pool (see
-  /// core/solve_pool.h). Bit-identity preserving — the served solutions
-  /// are byte-for-byte the sequential ones at any setting.
-  int solve_threads = 0;
 };
 
 /// One durable streaming session: a sink plus its write-ahead log and
@@ -155,10 +148,13 @@ class DurableSession {
   static bool Exists(const std::string& dir);
 
   /// WAL-append then apply. May trigger an automatic snapshot
-  /// (`snapshot_every`). Rejects points whose dimension does not match the
-  /// spec *before* they reach the WAL — a malformed point must never be
-  /// persisted, or every future recovery would replay it (the sinks
-  /// themselves only DCHECK the dimension).
+  /// (`snapshot_every`). Validates every point once, before the dedup
+  /// probe and the WAL append, and rejects the whole call if any point
+  /// fails: its dimension must match the spec, its coordinates must be
+  /// finite, and on the fair kinds its group must lie in [0, m). A
+  /// malformed point must never be persisted, or every future recovery
+  /// would replay it (the sinks only DCHECK the dimension and abort on an
+  /// out-of-range group).
   ///
   /// A failed WAL append POISONS the session (every later call returns
   /// the latched error): the log may then hold a record the sink never
@@ -263,7 +259,7 @@ class DurableSession {
   /// oldest snapshot still on disk (`snapshot_seq_` if none).
   Result<int64_t> PruneSnapshots();
   std::string SnapshotPath(int64_t seq) const;
-  Status CheckDim(std::span<const StreamPoint> batch) const;
+  Status ValidatePoints(std::span<const StreamPoint> batch) const;
 
   std::string dir_;
   std::string spec_;
@@ -275,6 +271,7 @@ class DurableSession {
   uint64_t probe_sample_ = 0;  // 1-in-64 sampling of the probe histogram
   std::shared_ptr<SolveCache> solve_cache_;  // never null
   size_t dim_ = 0;  // from the spec; every ingested point must match
+  size_t groups_ = 0;  // SinkSpec::GroupCount(); 0 = any group
   int64_t snapshot_seq_ = 0;
   SessionIngestCounters counters_;
   Status broken_;  // latched WAL-append failure; session needs a reopen

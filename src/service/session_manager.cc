@@ -7,6 +7,7 @@
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/metrics.h"
 #include "service/sink_spec.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -32,8 +33,7 @@ bool ValidSessionName(const std::string& name) {
 }  // namespace
 
 SessionManager::SessionManager(SessionManagerOptions options)
-    : options_(std::move(options)),
-      sweep_parallelism_(options_.threads) {}
+    : options_(std::move(options)) {}
 
 Result<std::unique_ptr<SessionManager>> SessionManager::Create(
     SessionManagerOptions options) {
@@ -392,7 +392,7 @@ Status SessionManager::SnapshotAll() {
     }
   }
   std::vector<Status> results(resident.size());
-  sweep_parallelism_.Run(resident.size(), [&](size_t i) {
+  FanOut(resident.size(), [&](size_t i) {
     std::unique_lock<std::shared_mutex> lock(resident[i]->mu);
     if (resident[i]->session == nullptr) return;  // spilled meanwhile
     results[i] = resident[i]->session->TakeSnapshot();

@@ -17,7 +17,6 @@
 #include "core/solve_cache.h"
 #include "service/durable_session.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -28,21 +27,13 @@ struct SessionManagerOptions {
   /// idle session is snapshotted and spilled to disk (it reloads lazily on
   /// the next touch). 0 = unlimited.
   size_t max_resident = 0;
-  /// Per-session durability knobs (auto-snapshot cadence, WAL batching)
-  /// plus the server-wide `solve_threads` query-parallelism override,
-  /// applied to every session the manager builds or recovers. All
-  /// sessions share ONE process-wide solve pool (core/solve_pool.h) whose
-  /// fork-join runs serialize, so concurrent cold SOLVEs on different
-  /// sessions queue for the pool rather than multiplying threads — the
-  /// manager never oversubscribes the machine through this knob.
+  /// Per-session durability knobs (auto-snapshot cadence, WAL batching),
+  /// applied to every session the manager builds or recovers.
   DurableSessionOptions session;
   /// Period of the background snapshot thread, which persists every
   /// resident session with unsnapshotted records. 0 = no background
   /// thread.
   int background_snapshot_ms = 0;
-  /// Threads for manager-wide parallel operations (`SnapshotAll`,
-  /// shutdown flush): `1` = sequential, `0` = hardware threads.
-  int threads = 1;
 };
 
 /// Serving-side façade: many named, concurrently accessible durable
@@ -51,14 +42,18 @@ struct SessionManagerOptions {
 /// Concurrency model: a manager-level mutex guards only the name→entry map
 /// and LRU bookkeeping; every session has its own *reader–writer* lock
 /// (`std::shared_mutex`), so ingest into different sessions proceeds in
-/// parallel (and each sink can additionally parallelize `ObserveBatch`
-/// internally over its own rungs/shards), while queries (`Solve`, `Stats`)
+/// parallel (and each sink can additionally fan `ObserveBatch` out over
+/// its own rungs/shards), while queries (`Solve`, `Stats`)
 /// take the lock shared: they run concurrently with each other and are
 /// answered from the session's `SolveCache` whenever the sink's state
 /// version has not moved — a cached SOLVE never serializes against STATS
 /// on the same session or against any other session's ingest.
 /// Manager-wide sweeps (`SnapshotAll`, destructor flush) fan the sessions
-/// out over a `util/thread_pool.h` pool.
+/// out too. Every fan-out runs at the one process width on one shared
+/// pool (`FanOut`, util/thread_pool.h); a fan-out that finds the pool
+/// busy — say a cold SOLVE while another session's ingest holds it — runs
+/// inline instead of waiting, so no session waits behind another's
+/// fan-out and the process never holds more than one pool of threads.
 ///
 /// Each entry owns its `SolveCache` and re-attaches it whenever the
 /// session is (re)loaded, so memoized solutions survive LRU spills and
@@ -219,8 +214,6 @@ class SessionManager {
   /// per-operation residency check is O(1); the O(sessions) LRU scan only
   /// runs once the cap is actually exceeded.
   std::atomic<size_t> resident_count_{0};
-
-  BatchParallelism sweep_parallelism_;
 
   std::thread background_;
   std::mutex background_mu_;

@@ -34,10 +34,6 @@ namespace fdm {
 ///   eps      guess-ladder ε                        (default 0.1)
 ///   dmin     lower distance bound (required unless algo=adaptive)
 ///   dmax     upper distance bound (required unless algo=adaptive)
-///   threads  ObserveBatch parallelism              (default 1)
-///   solve_threads  Solve() parallelism over the shared solve pool
-///            (1 = sequential, 0 = all hardware threads; bit-identity
-///            preserving — see core/solve_pool.h)     (default 1)
 ///   shards   shard count (algo=sharded)            (default 4)
 ///   window   window length (algo=sliding_window; required for it)
 ///   checkpoints  window replicas (algo=sliding_window, default 4)
@@ -48,6 +44,12 @@ namespace fdm {
 ///            Session-layer concern; the sink itself ignores it.
 ///            (default off — sliding-window streams legitimately
 ///            re-observe ids)
+///
+/// Thread counts are not part of a spec: every sink fans out at the one
+/// process width (`SetFanOutWidth`, util/thread_pool.h). The retired keys
+/// `threads=` and `solve_threads=` of older SPEC files are still parsed
+/// and range-checked (`solve_threads` must be >= 0), then ignored, and
+/// `ToString` no longer emits them.
 struct SinkSpec {
   std::string algo;
   size_t dim = 0;
@@ -57,8 +59,6 @@ struct SinkSpec {
   double epsilon = 0.1;
   double d_min = 0.0;
   double d_max = 0.0;
-  int threads = 1;
-  int solve_threads = 1;
   size_t shards = 4;
   int64_t window = 0;
   int64_t checkpoints = 4;
@@ -71,6 +71,12 @@ struct SinkSpec {
 
   /// Canonical round-trippable text form.
   std::string ToString() const;
+
+  /// How many groups a point's `group` must fall in: the quota count for
+  /// the fair kinds (sfdm1, sfdm2), 0 for the kinds that ignore groups.
+  size_t GroupCount() const {
+    return algo == "sfdm1" || algo == "sfdm2" ? quotas.size() : 0;
+  }
 
   /// Builds a fresh sink. Fails if required keys for the chosen algorithm
   /// are missing or inconsistent.

@@ -12,19 +12,25 @@
 #include <thread>
 #include <vector>
 
+#include "util/check.h"
+
 namespace fdm {
 
 /// A small reusable fork-join thread pool.
 ///
-/// Built for the batched ingestion paths: the guess-ladder rungs (and the
-/// shards of the sharded driver) are independent, so `ObserveBatch`
-/// partitions them over a pool and joins before returning. The pool is
-/// fork-join only — one `ParallelFor` runs at a time per pool (concurrent
-/// calls serialize on an internal mutex) — which keeps it tiny and is all
-/// the ingestion engine needs.
+/// The guess-ladder rungs of every streaming sink — while they fill and
+/// while `Solve` post-processes them — the shards of the sharded driver,
+/// and the sessions of a manager-wide snapshot sweep are independent, so
+/// their loops hand index ranges to a pool and join before returning.
+/// The process shares one machine-sized pool through `FanOut` below.
 ///
-/// Workers idle on a condition variable between batches, so a pool can be
-/// kept alive across millions of `ObserveBatch` calls without burning CPU.
+/// The pool is fork-join only: one `ParallelFor` owns it at a time. A
+/// call that finds it busy — nested inside one of its own tasks, or
+/// concurrent from another thread — runs its tasks inline on the caller
+/// instead of waiting, so no fan-out ever blocks behind another.
+///
+/// Workers idle on a condition variable between calls, so a pool can be
+/// kept alive across millions of calls without burning CPU.
 class ThreadPool {
  public:
   /// `num_threads` is the total parallelism including the calling thread;
@@ -66,8 +72,10 @@ class ThreadPool {
   /// `max_parallelism` caps total concurrency for this call (caller
   /// included) below the pool size; `0` means the whole pool. The cap is
   /// hard: each job carries a worker-slot budget, so a stale worker that
-  /// wakes late cannot push the join count past it. This lets many owners
-  /// share one machine-sized pool while each runs at its own knob.
+  /// wakes late cannot push the join count past it.
+  ///
+  /// If another call owns the pool (see the class comment), this one runs
+  /// `fn(0) … fn(n-1)` inline, in order, on the calling thread.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    size_t max_parallelism = 0) {
     if (n == 0) return;
@@ -75,11 +83,14 @@ class ThreadPool {
         max_parallelism == 0
             ? workers_.size() + 1
             : std::min(max_parallelism, workers_.size() + 1);
-    if (workers_.empty() || n == 1 || width == 1) {
+    // The try-lock on the fork-join slot. An atomic flag rather than
+    // `std::mutex::try_lock`, because a nested call comes from the thread
+    // that already owns the slot, where `try_lock` is undefined.
+    if (workers_.empty() || n == 1 || width == 1 ||
+        busy_.exchange(true, std::memory_order_acquire)) {
       for (size_t i = 0; i < n; ++i) fn(i);
       return;
     }
-    std::lock_guard<std::mutex> serialize(run_mu_);
     // Each job owns its counters (shared with any worker that picks it
     // up), so a stale worker waking late — or looping one extra time
     // after this job's tasks are exhausted — saturates on the OLD job's
@@ -98,11 +109,14 @@ class ThreadPool {
       for (size_t w = 0; w < to_wake; ++w) wake_.notify_one();
     }
     Drain(*job);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_.wait(lock, [&job] {
-      return job->remaining.load(std::memory_order_acquire) == 0;
-    });
-    job_ = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_.wait(lock, [&job] {
+        return job->remaining.load(std::memory_order_acquire) == 0;
+      });
+      job_ = nullptr;
+    }
+    busy_.store(false, std::memory_order_release);
   }
 
   static size_t DefaultThreads() {
@@ -160,7 +174,7 @@ class ThreadPool {
   }
 
   std::vector<std::thread> workers_;
-  std::mutex run_mu_;  // serializes ParallelFor calls (fork-join contract)
+  std::atomic<bool> busy_{false};  // a ParallelFor owns the pool
   std::mutex mu_;
   std::condition_variable wake_;
   std::condition_variable done_;
@@ -169,35 +183,42 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// The `batch_threads` knob shared by the streaming sinks, resolved into a
-/// lazily-created pool: `1` = sequential (no pool, no threads spawned —
-/// the default), `0` = one thread per hardware thread, `n > 1` = exactly
-/// `n` threads. Copyable; copies share the pool (safe: fork-join calls
-/// serialize).
-class BatchParallelism {
- public:
-  explicit BatchParallelism(int batch_threads = 1)
-      : batch_threads_(batch_threads) {}
+namespace internal {
+inline std::atomic<int> fan_out_width{1};
+}  // namespace internal
 
-  /// Runs `fn(0) … fn(n-1)`, in parallel when the knob asks for it.
-  void Run(size_t n, const std::function<void(size_t)>& fn) {
-    if (batch_threads_ == 1 || n <= 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_shared<ThreadPool>(
-          batch_threads_ <= 0 ? 0 : static_cast<size_t>(batch_threads_));
-    }
-    pool_->ParallelFor(n, fn);
+/// The process-wide fan-out width: `1` runs every fan-out inline on its
+/// caller (the default), `0` allows one thread per hardware thread, and
+/// `n > 1` allows at most `n` threads per fan-out. It is the only thread
+/// setting of the sinks, the sharded driver and the session manager, so
+/// it belongs to the process (`fdm_serve --threads`, a bench's sweep, a
+/// test), never to a sink spec or a snapshot. Selection is bit-identical
+/// at every width, so changing it never changes an answer or advances a
+/// state version.
+inline void SetFanOutWidth(int width) {
+  FDM_CHECK_MSG(width >= 0, "fan-out width must be >= 0");
+  internal::fan_out_width.store(width, std::memory_order_relaxed);
+}
+
+inline int FanOutWidth() {
+  return internal::fan_out_width.load(std::memory_order_relaxed);
+}
+
+/// Runs `fn(0) … fn(n-1)`: inline and in order at width 1, otherwise on
+/// the one shared machine-sized pool capped at the width — or inline when
+/// that pool is busy with another fan-out. Tasks must touch disjoint
+/// state; `fn` must not throw.
+inline void FanOut(size_t n, const std::function<void(size_t)>& fn) {
+  const int width = FanOutWidth();
+  if (width == 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-
-  int batch_threads() const { return batch_threads_; }
-
- private:
-  int batch_threads_ = 1;
-  std::shared_ptr<ThreadPool> pool_;
-};
+  // Leaked so fan-outs reached from static sinks or detached serving
+  // threads stay safe at exit.
+  static ThreadPool* pool = new ThreadPool(0);
+  pool->ParallelFor(n, fn, static_cast<size_t>(width));
+}
 
 }  // namespace fdm
 

@@ -5,6 +5,7 @@
 
 #include "service/durable_session.h"
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -173,20 +174,39 @@ TEST_F(DurableSessionTest, PowerLossTornTailRecoversToLastIntactRecord) {
   ExpectSameSolution(**reference, recovered->sink());
 }
 
-TEST_F(DurableSessionTest, RejectsWrongDimensionBeforeTheWal) {
+TEST_F(DurableSessionTest, RejectsInvalidPointsBeforeTheWal) {
   const Dataset ds = TestData(2, 60, 40);
-  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
-  auto session = DurableSession::Create(dir_, spec);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Observe(ds.At(0)).ok());
   const std::vector<double> short_coords = {1.0};
-  const Status rejected =
-      session->Observe(StreamPoint{99, 0, short_coords});
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
-  // The malformed point must not have reached the WAL: recovery sees only
-  // the good record.
-  EXPECT_EQ(session->ObservedElements(), 1);
+  const std::vector<double> inf_coords = {1.0, HUGE_VAL};
+  const std::vector<double> nan_coords = {std::nan(""), 1.0};
+  const std::vector<double> ok_coords = {1.0, 2.0};
+  for (const std::string algo :
+       {"algo=sfdm2 dim=2 quotas=2,2", "algo=sfdm1 dim=2 quotas=2,2"}) {
+    SCOPED_TRACE(algo);
+    const std::string dir = dir_ + "/" + algo.substr(5, 5);
+    {
+      auto session = DurableSession::Create(dir, algo + BoundsSuffix(ds));
+      ASSERT_TRUE(session.ok());
+      ASSERT_TRUE(session->Observe(ds.At(0)).ok());
+      for (const StreamPoint& bad :
+           {StreamPoint{99, 0, short_coords}, StreamPoint{99, 0, inf_coords},
+            StreamPoint{99, 1, nan_coords}, StreamPoint{99, 2, ok_coords},
+            StreamPoint{99, -1, ok_coords}}) {
+        const Status rejected = session->Observe(bad);
+        ASSERT_FALSE(rejected.ok());
+        EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+        // One bad point rejects the whole batch.
+        const std::vector<StreamPoint> batch = {ds.At(1), bad, ds.At(2)};
+        EXPECT_EQ(session->ObserveBatch(batch).code(),
+                  StatusCode::kInvalidArgument);
+      }
+      // The malformed points must not have reached the sink or the WAL.
+      EXPECT_EQ(session->ObservedElements(), 1);
+    }
+    auto recovered = DurableSession::Open(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->ObservedElements(), 1);
+  }
 }
 
 TEST_F(DurableSessionTest, RecoveryFallsBackWhenNewestSnapshotIsCorrupt) {

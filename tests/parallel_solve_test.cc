@@ -1,12 +1,12 @@
-// The query-path determinism contract (core/solve_pool.h): a Solve() that
-// fans its per-rung / per-shard / per-candidate post-processing out over
-// the shared solve pool must be bit-identical to the sequential solve —
-// for every sink kind, every reachable kernel dispatch target, and every
-// thread count — including across a mid-stream snapshot/restore and when
-// SFDM-2 reuses warm rung memos after a partial invalidation. The
-// ingest-side counterpart of this contract lives in
-// stream_sink_batch_test.cc; the cross-target counterpart in
-// incremental_solve_test.cc.
+// The query-path determinism contract (`FanOut`, util/thread_pool.h): a
+// Solve() that fans its per-rung / per-shard / per-candidate
+// post-processing out over the shared pool must be bit-identical to the
+// sequential solve — for every sink kind, every reachable kernel dispatch
+// target, and every process fan-out width — including across a
+// mid-stream snapshot/restore and when SFDM-2 reuses warm rung memos
+// after a partial invalidation. The ingest-side counterpart of this
+// contract lives in stream_sink_batch_test.cc; the cross-target
+// counterpart in incremental_solve_test.cc.
 
 #include <memory>
 #include <sstream>
@@ -22,6 +22,7 @@
 #include "geo/simd/kernel_dispatch.h"
 #include "service/sink_spec.h"
 #include "util/binary_io.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -34,9 +35,8 @@ Dataset TestData(size_t n = 48) {
   return MakeBlobs(opt);
 }
 
-/// Spec strings for all six sink kinds over `ds`, with `solve_threads=T`
-/// appended by the caller. Going through `SinkSpec` (rather than the
-/// harness registry) exercises the serving-side plumbing of the knob.
+/// Spec strings for all six sink kinds over `ds`, built through `SinkSpec`
+/// as the serving side builds them.
 std::vector<std::string> AllKindSpecs(const Dataset& ds) {
   const DistanceBounds bounds = ComputeDistanceBoundsExact(ds);
   std::ostringstream common;
@@ -80,6 +80,14 @@ std::unique_ptr<StreamSink> MakeSink(const std::string& spec) {
   return sink.ok() ? std::move(sink.value()) : nullptr;
 }
 
+/// `sink.Solve()` at process width `width`; the width is back at 1 after.
+Result<Solution> SolveAtWidth(const StreamSink& sink, int width) {
+  SetFanOutWidth(width);
+  Result<Solution> solution = sink.Solve();
+  SetFanOutWidth(1);
+  return solution;
+}
+
 /// Snapshot + tag-dispatched restore of a polymorphic sink.
 Result<std::unique_ptr<StreamSink>> RoundTrip(const StreamSink& sink) {
   SnapshotWriter writer;
@@ -90,22 +98,19 @@ Result<std::unique_ptr<StreamSink>> RoundTrip(const StreamSink& sink) {
 }
 
 // The tentpole matrix: six sink kinds × every reachable kernel target ×
-// solve_threads {1, 2, 4, 0(=hardware)} — parallel Solve() bit-identical
-// to the sequential sink's at every stream prefix sampled, with the
-// parallel sink additionally swapped for a snapshot-restored copy at the
-// midpoint (the restored sink keeps its serialized solve_threads).
-TEST(ParallelSolveTest, BitIdenticalAcrossKindsTargetsAndThreads) {
+// width {1, 2, 4, 0(=hardware)} — the parallel Solve() bit-identical to
+// the sequential one at every stream prefix sampled, with the parallel
+// sink additionally swapped for a snapshot-restored copy at the midpoint.
+TEST(ParallelSolveTest, BitIdenticalAcrossKindsTargetsAndWidths) {
   const Dataset ds = TestData();
   for (const std::string& base : AllKindSpecs(ds)) {
     for (const std::string_view target : simd::AvailableKernelTargets()) {
       ASSERT_TRUE(simd::internal::ForceKernelTargetForTest(target));
-      for (const int threads : {1, 2, 4, 0}) {
+      for (const int width : {1, 2, 4, 0}) {
         const std::string what = base + " [" + std::string(target) +
-                                 " solve_threads=" +
-                                 std::to_string(threads) + "]";
-        auto sequential = MakeSink(base + " solve_threads=1");
-        auto parallel =
-            MakeSink(base + " solve_threads=" + std::to_string(threads));
+                                 " width=" + std::to_string(width) + "]";
+        auto sequential = MakeSink(base);
+        auto parallel = MakeSink(base);
         ASSERT_NE(sequential, nullptr);
         ASSERT_NE(parallel, nullptr);
         for (size_t i = 0; i < ds.size(); ++i) {
@@ -123,7 +128,8 @@ TEST(ParallelSolveTest, BitIdenticalAcrossKindsTargetsAndThreads) {
           // Query at a handful of prefixes (every prefix would be O(n)
           // solves per cell across a large matrix).
           if ((i + 1) % 12 == 0 || i + 1 == ds.size()) {
-            ExpectSameOutcome(sequential->Solve(), parallel->Solve(),
+            ExpectSameOutcome(SolveAtWidth(*sequential, 1),
+                              SolveAtWidth(*parallel, width),
                               what + " prefix " + std::to_string(i + 1));
           }
         }
@@ -147,8 +153,8 @@ TEST(ParallelSolveTest, Sfdm2WarmMemoReuseAfterPartialInvalidation) {
   std::ostringstream spec;
   spec << "algo=sfdm2 quotas=2,2 dim=" << ds.dim() << " dmin=" << bounds.min
        << " dmax=" << bounds.max;
-  auto sequential = MakeSink(spec.str() + " solve_threads=1");
-  auto parallel = MakeSink(spec.str() + " solve_threads=4");
+  auto sequential = MakeSink(spec.str());
+  auto parallel = MakeSink(spec.str());
   ASSERT_NE(sequential, nullptr);
   ASSERT_NE(parallel, nullptr);
 
@@ -158,7 +164,8 @@ TEST(ParallelSolveTest, Sfdm2WarmMemoReuseAfterPartialInvalidation) {
     parallel->Observe(ds.At(i));
   }
   // Warm every rung memo in both sinks.
-  ExpectSameOutcome(sequential->Solve(), parallel->Solve(), "warm solve");
+  ExpectSameOutcome(SolveAtWidth(*sequential, 1), SolveAtWidth(*parallel, 4),
+                    "warm solve");
 
   // The stream tail typically lands in a subset of rungs (near-saturated
   // candidates reject), so this is a *partial* invalidation: some memos go
@@ -167,51 +174,31 @@ TEST(ParallelSolveTest, Sfdm2WarmMemoReuseAfterPartialInvalidation) {
     sequential->Observe(ds.At(i));
     parallel->Observe(ds.At(i));
   }
-  const Result<Solution> expected = sequential->Solve();
-  ExpectSameOutcome(expected, parallel->Solve(), "post-invalidation solve");
+  const Result<Solution> expected = SolveAtWidth(*sequential, 1);
+  ExpectSameOutcome(expected, SolveAtWidth(*parallel, 4),
+                    "post-invalidation solve");
 
   // Fresh cold replay cross-check: memo reuse changed nothing.
-  auto fresh = MakeSink(spec.str() + " solve_threads=4");
+  auto fresh = MakeSink(spec.str());
   ASSERT_NE(fresh, nullptr);
   for (size_t i = 0; i < ds.size(); ++i) fresh->Observe(ds.At(i));
-  ExpectSameOutcome(expected, fresh->Solve(), "fresh cold replay");
+  ExpectSameOutcome(expected, SolveAtWidth(*fresh, 4), "fresh cold replay");
 }
 
-// Flipping solve_threads mid-stream is a pure query-latency knob: it must
+// Changing the width between queries is a pure latency setting: it must
 // not advance the state version (a version-keyed SolveCache keeps serving
 // its memoized solution) and the next Solve() is bit-identical.
-TEST(ParallelSolveTest, SetSolveThreadsDoesNotAdvanceStateVersion) {
+TEST(ParallelSolveTest, WidthChangeDoesNotAdvanceStateVersion) {
   const Dataset ds = TestData();
   for (const std::string& base : AllKindSpecs(ds)) {
-    auto sink = MakeSink(base + " solve_threads=1");
+    auto sink = MakeSink(base);
     ASSERT_NE(sink, nullptr);
     for (size_t i = 0; i < ds.size(); ++i) sink->Observe(ds.At(i));
     const Result<Solution> before = sink->Solve();
     const uint64_t version = sink->StateVersion();
-    sink->SetSolveThreads(4);
-    EXPECT_EQ(sink->StateVersion(), version) << base;
-    ExpectSameOutcome(before, sink->Solve(), base + " after SetSolveThreads");
-    sink->SetSolveThreads(1);
+    ExpectSameOutcome(before, SolveAtWidth(*sink, 4), base + " at width 4");
     EXPECT_EQ(sink->StateVersion(), version) << base;
   }
-}
-
-// solve_threads survives the spec round-trip (Parse → ToString → Parse)
-// and is rejected when negative.
-TEST(ParallelSolveTest, SpecRoundTripAndValidation) {
-  auto spec = SinkSpec::Parse(
-      "algo=sfdm2 dim=4 quotas=2,2 dmin=0.1 dmax=50 solve_threads=4");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec->solve_threads, 4);
-  auto reparsed = SinkSpec::Parse(spec->ToString());
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(reparsed->solve_threads, 4);
-  // Default (1) stays out of the canonical form.
-  auto plain = SinkSpec::Parse("algo=streaming_dm dim=4 k=3 dmin=1 dmax=9");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->ToString().find("solve_threads"), std::string::npos);
-  EXPECT_FALSE(
-      SinkSpec::Parse("algo=streaming_dm dim=4 k=3 solve_threads=-1").ok());
 }
 
 }  // namespace

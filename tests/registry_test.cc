@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -94,15 +95,16 @@ TEST(RunAlgorithmRegistryTest, SlidingWindowKindHonorsWindowConfig) {
 }
 
 TEST(RunAlgorithmRegistryTest, BatchedIngestionMatchesPerElement) {
-  // The harness-level guarantee: flipping batch_size/batch_threads changes
-  // only the cost profile, never the output.
+  // The harness-level guarantee: flipping the batch size or the process
+  // fan-out width changes only the cost profile, never the output.
   const Dataset ds = TestData(3, 23, 900);
   RunConfig config = ConfigFor(ds, AlgorithmKind::kSfdm2, 9);
   config.permutation_seed = 4;
   const RunResult per_element = RunAlgorithm(ds, config);
   config.batch_size = 128;
-  config.batch_threads = 2;
+  SetFanOutWidth(2);
   const RunResult batched = RunAlgorithm(ds, config);
+  SetFanOutWidth(1);
   ASSERT_TRUE(per_element.ok) << per_element.error;
   ASSERT_TRUE(batched.ok) << batched.error;
   EXPECT_EQ(per_element.selected_ids, batched.selected_ids);

@@ -1,13 +1,17 @@
 // Conformance suite for the serving protocol's request-dispatch core
 // (src/net/dispatch.h): framing invariants under malformed, truncated,
 // and pipelined input; byte-identical replies between the stdin and TCP
-// transports; and regression tests for three protocol-hardening fixes
-// (checked --metrics-dump parse, non-finite coordinate rejection,
-// trailing-garbage rejection on no-payload verbs).
+// transports; regression tests for the protocol-hardening fixes (checked
+// --metrics-dump parse, non-finite coordinate rejection, trailing-garbage
+// rejection on no-payload verbs, out-of-range group rejection before the
+// WAL); and reopening a session directory written before thread counts
+// left the spec and the snapshot.
 
 #include "net/dispatch.h"
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,7 +23,10 @@
 #include "net/tcp_server.h"
 #include "obs/metrics_dump.h"
 #include "replica/replica_manager.h"
+#include "service/session_layout.h"
 #include "service/session_manager.h"
+#include "util/binary_io.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -36,6 +43,14 @@ std::string SpecFor(const Dataset& ds) {
   const DistanceBounds b = ComputeDistanceBoundsExact(ds);
   return "algo=sfdm2 dim=2 quotas=2,2 dmin=" + std::to_string(b.min) +
          " dmax=" + std::to_string(b.max);
+}
+
+/// `OBSERVE <session> <id> <group> <coords...>` for `point`.
+std::string ObserveLine(const std::string& session, const StreamPoint& point) {
+  std::string line = "OBSERVE " + session + " " + std::to_string(point.id) +
+                     " " + std::to_string(point.group);
+  for (const double c : point.coords) line += " " + std::to_string(c);
+  return line + "\n";
 }
 
 /// Drives the dispatcher exactly like the stdin transport and returns
@@ -234,10 +249,10 @@ TEST(MetricsDumpSpecTest, ValidSpecsParse) {
 
 // ---------------------------------------------------------------------------
 // Regression: non-finite coordinates must never reach Ingest. This
-// toolchain's operator>> already rejects "inf"/"nan" spellings, but the
-// dispatcher adds an explicit isfinite() guard so the contract holds on
-// standard libraries that do parse them — either way the observable
-// behavior is pinned here: an ERR reply and an unchanged session.
+// toolchain's operator>> already rejects "inf"/"nan" spellings, and the
+// session's point validation rejects any that a standard library does
+// parse — either way the observable behavior is pinned here: an ERR reply
+// and an unchanged session.
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeProtocolTest, NonFiniteObserveIsRejected) {
@@ -269,6 +284,157 @@ TEST_F(ServeProtocolTest, NonFiniteBatchLineIsRejectedAndDrained) {
   auto stats = manager->Stats("s");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->observed, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Regression (crash loop): `OBSERVE s <id> 7 ...` on an m=2 SFDM-2 session
+// used to abort the whole server inside the sink. As the 256th record it
+// was fsynced first (the WAL's sync_every boundary), so every restart
+// aborted again when replay re-applied it. The session now rejects the
+// point before the WAL; a restart from the on-disk image serves SOLVE.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeProtocolTest, OutOfRangeGroupIsRejectedAndRestartServes) {
+  const Dataset ds = TestData(300);
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_EQ(RunStdin(dispatcher, "CREATE s " + SpecFor(ds) + "\n"), "OK\n");
+  std::string good;
+  std::string oks;
+  for (size_t i = 0; i < 255; ++i) {
+    good += ObserveLine("s", ds.At(i));
+    oks += "OK\n";
+  }
+  ASSERT_EQ(RunStdin(dispatcher, good), oks);
+  // Record 256, where the WAL syncs, carries group 7 of m=2.
+  EXPECT_EQ(RunStdin(dispatcher, "OBSERVE s 255 7 0.5 0.5\n"),
+            "ERR InvalidArgument: point group 7 out of range [0, 2)\n");
+  EXPECT_EQ(RunStdin(dispatcher, "OBSERVE s 255 -1 0.5 0.5\n"),
+            "ERR InvalidArgument: point group -1 out of range [0, 2)\n");
+  // A bad point anywhere in a batch rejects all of it; the announced
+  // lines are still drained, so LIST parses as a command.
+  EXPECT_EQ(RunStdin(dispatcher,
+                     "OBSERVEB s 3\n900 0 1 2\n901 2 3 4\n902 1 5 6\nLIST\n"),
+            "ERR InvalidArgument: point group 2 out of range [0, 2)\nOK s\n");
+  auto stats = manager->Stats("s");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->observed, 255);
+  // The 256th good record reaches the sync boundary, so the log on disk
+  // now holds exactly the 256 good records.
+  ASSERT_EQ(RunStdin(dispatcher, ObserveLine("s", ds.At(255))), "OK\n");
+  const std::string served = RunStdin(dispatcher, "SOLVE s\n");
+  ASSERT_EQ(served.rfind("OK div=", 0), 0u) << served;
+
+  // Restart from the on-disk image as a kill -9 leaves it (the live
+  // manager would snapshot on a clean shutdown): replay applies the WAL.
+  std::filesystem::copy(root_ + "/p", root_ + "/crash",
+                        std::filesystem::copy_options::recursive);
+  auto restarted = NewManager("crash");
+  net::RequestDispatcher after(restarted.get(), root_ + "/crash");
+  EXPECT_EQ(RunStdin(after, "SOLVE s\n"), served);
+  auto recovered = restarted->Stats("s");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->observed, 256);
+  EXPECT_EQ(recovered->replayed_records, 256);
+}
+
+// ---------------------------------------------------------------------------
+// Back-compat: a session directory written before thread counts left the
+// spec and the snapshot — its SPEC carries `threads=4 solve_threads=2` and
+// its snapshot's two thread slots hold 4 and 2 — still reopens, replays its
+// WAL tail, serves the same SOLVE bytes and state version as a width-1
+// reference, and bootstraps a follower without a spec mismatch.
+// ---------------------------------------------------------------------------
+
+/// Rewrites the retired thread slots of a sfdm2 session snapshot at `path`
+/// to the values an older writer stored for `threads`/`solve_threads`, and
+/// re-frames the file with a fresh checksum.
+void WriteOldThreadSlots(const std::string& path, const std::string& spec,
+                         size_t groups, int32_t batch_threads,
+                         int32_t solve_threads) {
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string framed = std::move(bytes.value());
+  // Frame: magic (8) | version u32 | payload size u64 | payload | fnv u64.
+  constexpr size_t kFrameHeader = 8 + 4 + 8;
+  // Payload: "fdm.session" | spec | seq i64 | "sfdm2" | group count u64 |
+  // quotas i32 × m | dim u64 | metric u8 | d_min, d_max, ε | the slots.
+  const size_t slots = kFrameHeader + (8 + 11) + (8 + spec.size()) + 8 +
+                       (8 + 5) + 8 + 4 * groups + 8 + 1 + 3 * 8;
+  ASSERT_LE(slots + 8 + 8, framed.size());
+  int32_t current[2];
+  std::memcpy(current, framed.data() + slots, sizeof(current));
+  ASSERT_EQ(current[0], 1);  // the constant the current writer stores
+  ASSERT_EQ(current[1], 1);
+  const int32_t old[2] = {batch_threads, solve_threads};
+  std::memcpy(framed.data() + slots, old, sizeof(old));
+  const size_t payload_size = framed.size() - kFrameHeader - 8;
+  const uint64_t checksum =
+      Fnv1a64(framed.data() + kFrameHeader, payload_size);
+  std::memcpy(framed.data() + kFrameHeader + payload_size, &checksum,
+              sizeof(checksum));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  ASSERT_TRUE(out.good());
+}
+
+TEST_F(ServeProtocolTest, SessionDirWithRetiredThreadSettingsStillServes) {
+  const Dataset ds = TestData();
+  const std::string spec = SpecFor(ds);
+  const std::string old_spec = spec + " threads=4 solve_threads=2";
+  const std::string dir = root_ + "/p/old";
+  const size_t mid = ds.size() / 2;
+  {
+    auto session = DurableSession::Create(dir, old_spec);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (size_t i = 0; i < ds.size(); ++i) {
+      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      if (i + 1 == mid) {
+        ASSERT_TRUE(session->TakeSnapshot().ok());
+      }
+    }
+    ASSERT_TRUE(session->Sync().ok());
+  }  // dropped without a snapshot: the second half is a WAL tail
+  const auto snapshots = ListSessionSnapshots(SessionSnapDir(dir));
+  ASSERT_EQ(snapshots.size(), 1u);
+  ASSERT_NO_FATAL_FAILURE(WriteOldThreadSlots(snapshots[0].second, old_spec,
+                                              /*groups=*/2, 4, 2));
+
+  ASSERT_EQ(FanOutWidth(), 1);
+  auto reference = NewManager("ref");
+  ASSERT_TRUE(reference->CreateSession("old", spec).ok());
+  for (size_t i = 0; i < ds.size(); ++i) {
+    ASSERT_TRUE(reference->Observe("old", ds.At(i)).ok());
+  }
+  net::RequestDispatcher reference_dispatcher(reference.get(), root_ + "/ref");
+  const std::string expected = RunStdin(reference_dispatcher, "SOLVE old\n");
+  ASSERT_EQ(expected.rfind("OK div=", 0), 0u) << expected;
+  auto expected_stats = reference->Stats("old");
+  ASSERT_TRUE(expected_stats.ok());
+
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  EXPECT_EQ(RunStdin(dispatcher, "SOLVE old\n"), expected);
+  auto stats = manager->Stats("old");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->spec, old_spec);
+  EXPECT_EQ(stats->snapshot_seq, static_cast<int64_t>(mid));
+  EXPECT_EQ(stats->replayed_records, static_cast<int64_t>(ds.size() - mid));
+  EXPECT_EQ(stats->state_version, expected_stats->state_version);
+
+  ReplicaManagerOptions options;
+  options.primary_root = root_ + "/p";
+  auto replicas = ReplicaManager::Create(options);
+  ASSERT_TRUE(replicas.ok()) << replicas.status().ToString();
+  net::RequestDispatcher follower(replicas->get(), options.primary_root);
+  const std::string followed = RunStdin(follower, "SOLVE old\n");
+  // The follower appends its replication fields to the primary's reply.
+  const std::string primary_part = expected.substr(0, expected.size() - 1);
+  EXPECT_EQ(followed.rfind(primary_part + " version=" +
+                               std::to_string(expected_stats->state_version),
+                           0),
+            0u)
+      << followed;
 }
 
 // ---------------------------------------------------------------------------

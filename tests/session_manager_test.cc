@@ -11,6 +11,7 @@
 
 #include "data/synthetic.h"
 #include "service/sink_spec.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -160,35 +161,72 @@ TEST_F(SessionManagerTest, LruSpillKeepsResidencyBounded) {
   EXPECT_LE((*manager)->ResidentCount(), 2u);
 }
 
+// Sessions ingest, solve and get swept concurrently. At width 4 they all
+// share the one pool: whichever fan-out finds it busy runs inline, and
+// every session still ends bit-identical to a sequential reference.
 TEST_F(SessionManagerTest, ConcurrentIngestAcrossSessions) {
   const Dataset ds = TestData(400, 59);
-  auto manager = SessionManager::Create(Options());
-  ASSERT_TRUE(manager.ok());
-  constexpr int kSessions = 4;
-  for (int s = 0; s < kSessions; ++s) {
-    ASSERT_TRUE(
-        (*manager)->CreateSession("t" + std::to_string(s), SpecFor(ds)).ok());
-  }
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kSessions);
-  for (int s = 0; s < kSessions; ++s) {
-    workers.emplace_back([&, s] {
-      const std::string name = "t" + std::to_string(s);
-      for (size_t i = 0; i < ds.size(); ++i) {
-        if (!(*manager)->Observe(name, ds.At(i)).ok()) {
-          failures.fetch_add(1);
-          return;
+  auto reference = MakeSinkFromSpec(SpecFor(ds));
+  ASSERT_TRUE(reference.ok());
+  for (size_t i = 0; i < ds.size(); ++i) (*reference)->Observe(ds.At(i));
+  const Result<Solution> expected = (*reference)->Solve();
+  ASSERT_TRUE(expected.ok());
+  for (const int width : {1, 4}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    SetFanOutWidth(width);
+    SessionManagerOptions options = Options();
+    options.root_dir += "/w" + std::to_string(width);
+    auto manager = SessionManager::Create(options);
+    ASSERT_TRUE(manager.ok());
+    constexpr int kSessions = 4;
+    for (int s = 0; s < kSessions; ++s) {
+      ASSERT_TRUE(
+          (*manager)->CreateSession("t" + std::to_string(s), SpecFor(ds)).ok());
+    }
+    std::atomic<int> failures{0};
+    std::atomic<int> running{kSessions};
+    std::vector<std::thread> workers;
+    workers.reserve(kSessions);
+    for (int s = 0; s < kSessions; ++s) {
+      workers.emplace_back([&, s] {
+        const std::string name = "t" + std::to_string(s);
+        // Even sessions ingest per element, odd ones in batches of 32, and
+        // every 64 points a cold SOLVE fans out over the same pool.
+        for (size_t at = 0; at < ds.size(); at += 32) {
+          const size_t len = std::min<size_t>(32, ds.size() - at);
+          std::vector<StreamPoint> batch;
+          for (size_t i = at; i < at + len; ++i) batch.push_back(ds.At(i));
+          bool ok = true;
+          if (s % 2 == 0) {
+            for (const StreamPoint& point : batch) {
+              ok = ok && (*manager)->Observe(name, point).ok();
+            }
+          } else {
+            ok = (*manager)->ObserveBatch(name, batch).ok();
+          }
+          if (!ok) failures.fetch_add(1);
+          if (at % 64 == 0) (void)(*manager)->Solve(name);
         }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  for (int s = 0; s < kSessions; ++s) {
-    auto stats = (*manager)->Stats("t" + std::to_string(s));
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->observed, static_cast<int64_t>(ds.size()));
+        running.fetch_sub(1);
+      });
+    }
+    while (running.load() > 0) {
+      if (!(*manager)->SnapshotAll().ok()) failures.fetch_add(1);
+    }
+    for (std::thread& w : workers) w.join();
+    SetFanOutWidth(1);
+    EXPECT_EQ(failures.load(), 0);
+    for (int s = 0; s < kSessions; ++s) {
+      const std::string name = "t" + std::to_string(s);
+      auto stats = (*manager)->Stats(name);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->observed, static_cast<int64_t>(ds.size()));
+      EXPECT_EQ(stats->state_version, (*reference)->StateVersion());
+      auto solution = (*manager)->Solve(name);
+      ASSERT_TRUE(solution.ok());
+      EXPECT_EQ(solution->Ids(), expected->Ids());
+      EXPECT_EQ(solution->diversity, expected->diversity);
+    }
   }
 }
 

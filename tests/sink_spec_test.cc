@@ -10,7 +10,7 @@ namespace {
 TEST(SinkSpecTest, ParsesFullSpec) {
   auto spec = SinkSpec::Parse(
       "algo=sfdm2 dim=4 quotas=2,2,3 metric=manhattan eps=0.05 dmin=0.01 "
-      "dmax=50 threads=2");
+      "dmax=50");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->algo, "sfdm2");
   EXPECT_EQ(spec->dim, 4u);
@@ -19,7 +19,28 @@ TEST(SinkSpecTest, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(spec->epsilon, 0.05);
   EXPECT_DOUBLE_EQ(spec->d_min, 0.01);
   EXPECT_DOUBLE_EQ(spec->d_max, 50);
-  EXPECT_EQ(spec->threads, 2);
+}
+
+// Thread counts left the spec for the process fan-out width; SPEC files
+// written before that still carry `threads=` / `solve_threads=`. Both keys
+// are accepted and ignored (the spec equals the one without them and the
+// canonical form drops them), and their old validation still applies.
+TEST(SinkSpecTest, RetiredThreadKeysAreAcceptedAndIgnored) {
+  const std::string base = "algo=sfdm2 dim=4 quotas=2,2 dmin=0.1 dmax=50";
+  auto plain = SinkSpec::Parse(base);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (const std::string extra :
+       {" threads=4", " solve_threads=2", " threads=4 solve_threads=2",
+        " threads=0 solve_threads=0"}) {
+    auto spec = SinkSpec::Parse(base + extra);
+    ASSERT_TRUE(spec.ok()) << extra << ": " << spec.status().ToString();
+    EXPECT_EQ(spec->ToString(), plain->ToString()) << extra;
+    EXPECT_EQ(spec->ToString().find("threads"), std::string::npos) << extra;
+    EXPECT_TRUE(spec->MakeSink().ok()) << extra;
+  }
+  EXPECT_FALSE(SinkSpec::Parse(base + " solve_threads=-1").ok());
+  EXPECT_FALSE(SinkSpec::Parse(base + " threads=x").ok());
+  EXPECT_FALSE(SinkSpec::Parse(base + " solve_threads=2.5").ok());
 }
 
 TEST(SinkSpecTest, RejectsMalformedSpecs) {

@@ -1,6 +1,6 @@
 // The StreamSink contract: ingesting a stream through ObserveBatch — any
-// batch sizes, any thread count — yields exactly the same Solve() output
-// as per-element Observe, for every streaming algorithm.
+// batch sizes, any process fan-out width — yields exactly the same Solve()
+// output as per-element Observe, for every streaming algorithm.
 
 #include "core/stream_sink.h"
 
@@ -17,6 +17,7 @@
 #include "core/streaming_dm.h"
 #include "data/synthetic.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -29,25 +30,26 @@ Dataset TestData(int m, uint64_t seed, size_t n = 400) {
   return MakeBlobs(opt);
 }
 
-StreamingOptions OptionsFor(const Dataset& ds, int batch_threads) {
+StreamingOptions OptionsFor(const Dataset& ds) {
   const DistanceBounds b = ComputeDistanceBoundsExact(ds);
   StreamingOptions o;
   o.epsilon = 0.1;
   o.d_min = b.min;
   o.d_max = b.max;
-  o.batch_threads = batch_threads;
   return o;
 }
 
-/// Feeds `ds` in the permutation given by `seed`, chopped into batches of
-/// pseudo-random sizes in [1, 97] (batch size 0 = per-element Observe).
+/// Feeds `ds` in the permutation given by `seed`: per-element `Observe`
+/// unless `batched`, else chopped into batches of pseudo-random sizes in
+/// [1, 97] and ingested at process fan-out width `width`.
 void Feed(StreamSink& sink, const Dataset& ds, uint64_t seed,
-          bool batched) {
+          bool batched, int width = 1) {
   const std::vector<size_t> order = StreamOrder(ds.size(), seed);
   if (!batched) {
     for (const size_t row : order) sink.Observe(ds.At(row));
     return;
   }
+  SetFanOutWidth(width);
   Rng rng(seed * 31 + 7);
   size_t pos = 0;
   while (pos < order.size()) {
@@ -59,6 +61,7 @@ void Feed(StreamSink& sink, const Dataset& ds, uint64_t seed,
     sink.ObserveBatch(batch);
     pos += size;
   }
+  SetFanOutWidth(1);
 }
 
 /// Bit-identical outcome check: same ids in the same order, same
@@ -77,7 +80,7 @@ void ExpectIdentical(const StreamSink& a, const StreamSink& b) {
 
 struct BatchCase {
   uint64_t seed;
-  int batch_threads;
+  int width;
 };
 
 class StreamSinkBatchTest : public ::testing::TestWithParam<BatchCase> {};
@@ -86,13 +89,13 @@ TEST_P(StreamSinkBatchTest, StreamingDmBatchEqualsSequential) {
   const BatchCase param = GetParam();
   const Dataset ds = TestData(2, 100 + param.seed);
   auto sequential = StreamingDm::Create(8, ds.dim(), ds.metric_kind(),
-                                        OptionsFor(ds, 1));
+                                        OptionsFor(ds));
   auto batched = StreamingDm::Create(8, ds.dim(), ds.metric_kind(),
-                                     OptionsFor(ds, param.batch_threads));
+                                     OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
-  Feed(*batched, ds, param.seed, /*batched=*/true);
+  Feed(*batched, ds, param.seed, /*batched=*/true, param.width);
   ExpectIdentical(*sequential, *batched);
 }
 
@@ -101,13 +104,13 @@ TEST_P(StreamSinkBatchTest, Sfdm1BatchEqualsSequential) {
   const Dataset ds = TestData(2, 200 + param.seed);
   const FairnessConstraint constraint = EqualRepresentation(8, 2).value();
   auto sequential = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                                  OptionsFor(ds, 1));
+                                  OptionsFor(ds));
   auto batched = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, param.batch_threads));
+                               OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
-  Feed(*batched, ds, param.seed, /*batched=*/true);
+  Feed(*batched, ds, param.seed, /*batched=*/true, param.width);
   ExpectIdentical(*sequential, *batched);
 }
 
@@ -116,13 +119,13 @@ TEST_P(StreamSinkBatchTest, Sfdm2BatchEqualsSequential) {
   const Dataset ds = TestData(3, 300 + param.seed);
   const FairnessConstraint constraint = EqualRepresentation(9, 3).value();
   auto sequential = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                                  OptionsFor(ds, 1));
+                                  OptionsFor(ds));
   auto batched = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, param.batch_threads));
+                               OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
-  Feed(*batched, ds, param.seed, /*batched=*/true);
+  Feed(*batched, ds, param.seed, /*batched=*/true, param.width);
   ExpectIdentical(*sequential, *batched);
 }
 
@@ -131,25 +134,24 @@ TEST_P(StreamSinkBatchTest, ShardedBatchEqualsSequential) {
   const Dataset ds = TestData(2, 400 + param.seed, /*n=*/800);
   ShardedStreamingOptions sharding;
   sharding.num_shards = 4;
-  sharding.batch_threads = param.batch_threads;
   auto sequential = ShardedStreamingDm::Create(
-      6, ds.dim(), ds.metric_kind(), OptionsFor(ds, 1), sharding);
+      6, ds.dim(), ds.metric_kind(), OptionsFor(ds), sharding);
   auto batched = ShardedStreamingDm::Create(
-      6, ds.dim(), ds.metric_kind(), OptionsFor(ds, 1), sharding);
+      6, ds.dim(), ds.metric_kind(), OptionsFor(ds), sharding);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
-  Feed(*batched, ds, param.seed, /*batched=*/true);
+  Feed(*batched, ds, param.seed, /*batched=*/true, param.width);
   ExpectIdentical(*sequential, *batched);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndThreads, StreamSinkBatchTest,
+    SeedsAndWidths, StreamSinkBatchTest,
     ::testing::Values(BatchCase{1, 1}, BatchCase{2, 1}, BatchCase{3, 2},
                       BatchCase{4, 4}, BatchCase{5, 0}, BatchCase{6, 4}),
     [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_threads" +
-             std::to_string(info.param.batch_threads);
+      return "seed" + std::to_string(info.param.seed) + "_width" +
+             std::to_string(info.param.width);
     });
 
 TEST(StreamSinkBatchTest, AdaptiveDefaultBatchEqualsSequential) {
@@ -172,13 +174,14 @@ TEST(StreamSinkBatchTest, MixedObserveAndBatchEqualsSequential) {
   // pure per-element run (the batch is not a separate mode, just a chunk).
   const Dataset ds = TestData(2, 77);
   auto a = StreamingDm::Create(6, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, 2));
+                               OptionsFor(ds));
   auto b = StreamingDm::Create(6, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, 1));
+                               OptionsFor(ds));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   const std::vector<size_t> order = StreamOrder(ds.size(), 5);
   std::vector<StreamPoint> batch;
+  SetFanOutWidth(2);
   for (size_t pos = 0; pos < order.size(); ++pos) {
     if (pos % 3 == 0) {
       a->Observe(ds.At(order[pos]));
@@ -192,6 +195,7 @@ TEST(StreamSinkBatchTest, MixedObserveAndBatchEqualsSequential) {
   }
   // Flush, then replay the same effective element order sequentially.
   if (!batch.empty()) a->ObserveBatch(batch);
+  SetFanOutWidth(1);
   std::vector<size_t> effective;
   std::vector<size_t> deferred;
   for (size_t pos = 0; pos < order.size(); ++pos) {
@@ -217,13 +221,13 @@ TEST(StreamSinkBatchTest, PolymorphicUseThroughBasePointer) {
   std::vector<std::unique_ptr<StreamSink>> sinks;
   {
     auto r = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                           OptionsFor(ds, 1));
+                           OptionsFor(ds));
     ASSERT_TRUE(r.ok());
     sinks.push_back(std::make_unique<Sfdm1>(std::move(r.value())));
   }
   {
     auto r = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                           OptionsFor(ds, 1));
+                           OptionsFor(ds));
     ASSERT_TRUE(r.ok());
     sinks.push_back(std::make_unique<Sfdm2>(std::move(r.value())));
   }

@@ -2,7 +2,7 @@
 // demos, soak tests, scripts, and (with --listen) networked clients.
 //
 //   ./fdm_serve [--root=DIR] [--snapshot_every=N] [--max_resident=N]
-//               [--background_ms=N] [--threads=N] [--solve_threads=N]
+//               [--background_ms=N] [--threads=N]
 //               [--metrics-dump=PATH[,PERIOD_MS]]
 //               [--listen=PORT [--listen_host=ADDR] [--net_threads=N]
 //                [--solve_workers=N] [--rate=R [--burst=B]] [--cold_cap=N]]
@@ -39,8 +39,18 @@
 //
 // The protocol core lives in src/net/dispatch.h; this file only wires
 // transports around it. Every no-payload verb rejects trailing garbage,
-// and OBSERVE/OBSERVEB reject non-finite (inf/nan) coordinates before
-// anything reaches the WAL.
+// and OBSERVE/OBSERVEB reject a point before anything reaches the WAL if
+// its dimension is wrong, a coordinate is non-finite (inf/nan), or — on
+// the fair kinds — its group is outside [0, m); a bad point anywhere in
+// an OBSERVEB rejects the whole batch.
+//
+// `--threads=N` is the process fan-out width, the one thread setting of
+// the sinks and the session manager: the guess-ladder rungs of a batched
+// ingest or a cold SOLVE, the shards of a sharded sink, and the sessions
+// of a snapshot sweep run on one shared pool at up to N threads (0 = one
+// per hardware thread). The default 1 runs them all inline. Answers are
+// byte-identical at every width. A fan-out that finds the pool busy with
+// another runs inline rather than waiting for it.
 //
 // `--listen=PORT` additionally serves the same protocol over TCP
 // (length-delimited frames whose payload is the line-protocol text; see
@@ -90,6 +100,7 @@
 #include "replica/replica_manager.h"
 #include "service/session_manager.h"
 #include "util/argparse.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -160,6 +171,12 @@ int FollowerMain(const ArgParser& args) {
 
 int Main(int argc, char** argv) {
   const ArgParser args(argc, argv);
+  const int64_t width = args.GetInt("threads", 1);
+  if (width < 0 || width > 4096) {
+    std::fprintf(stderr, "fdm_serve: --threads must be in [0, 4096]\n");
+    return 1;
+  }
+  SetFanOutWidth(static_cast<int>(width));
   if (args.Has("follow")) return FollowerMain(args);
   SessionManagerOptions options;
   options.root_dir = args.GetString("root", "fdm_sessions");
@@ -169,11 +186,6 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(args.GetInt("max_resident", 0));
   options.background_snapshot_ms =
       static_cast<int>(args.GetInt("background_ms", 0));
-  options.threads = static_cast<int>(args.GetInt("threads", 1));
-  // Server-wide cold-SOLVE parallelism (0 = keep each spec's setting).
-  // Bit-identity preserving: answers match sequential byte for byte.
-  options.session.solve_threads =
-      static_cast<int>(args.GetInt("solve_threads", 0));
 
   auto manager = SessionManager::Create(options);
   if (!manager.ok()) {
