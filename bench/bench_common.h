@@ -1,7 +1,9 @@
 #ifndef FDM_BENCH_BENCH_COMMON_H_
 #define FDM_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -173,6 +175,62 @@ inline std::string Cell(bool applicable, double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;
+}
+
+/// The `q`-quantile of `values` (0 ≤ q ≤ 1), interpolating linearly
+/// between the two nearest order statistics.
+inline double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+/// An A/B comparison measured as interleaved pairs of runs: the median and
+/// quartiles of the per-pair ratio `B seconds / A seconds`, plus each
+/// side's median time.
+struct PairedRatio {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  int pairs = 0;
+  double a_median_sec = 0.0;
+  double b_median_sec = 0.0;
+};
+
+/// Runs `pairs` pairs of `run_a(r)` / `run_b(r)` (r = pair index), A first
+/// in even pairs and B first in odd ones, so host drift and contention hit
+/// both sides alike; a gate on the median ratio then resolves a bound that
+/// best-of-N single shots cannot. Each run returns its elapsed seconds, or
+/// a negative value on failure, which aborts the measurement (nullopt).
+template <typename RunA, typename RunB>
+std::optional<PairedRatio> MeasureInterleavedPairs(int pairs, RunA&& run_a,
+                                                   RunB&& run_b) {
+  std::vector<double> a_secs;
+  std::vector<double> b_secs;
+  std::vector<double> ratios;
+  for (int r = 0; r < pairs; ++r) {
+    double sec[2] = {0.0, 0.0};  // [A, B]
+    for (int side = 0; side < 2; ++side) {
+      const bool b = (side == 0) == (r % 2 == 1);
+      sec[b ? 1 : 0] = b ? run_b(r) : run_a(r);
+      if (sec[b ? 1 : 0] < 0.0) return std::nullopt;
+    }
+    a_secs.push_back(sec[0]);
+    b_secs.push_back(sec[1]);
+    ratios.push_back(sec[1] / sec[0]);
+  }
+  if (ratios.empty()) return std::nullopt;
+  PairedRatio result;
+  result.median = Quantile(ratios, 0.5);
+  result.q1 = Quantile(ratios, 0.25);
+  result.q3 = Quantile(ratios, 0.75);
+  result.pairs = pairs;
+  result.a_median_sec = Quantile(a_secs, 0.5);
+  result.b_median_sec = Quantile(b_secs, 0.5);
+  return result;
 }
 
 /// Prints the standard bench banner: what is being reproduced and at what

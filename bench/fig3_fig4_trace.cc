@@ -77,7 +77,7 @@ int Main(int argc, char** argv) {
   auto add_from = [&](const StreamingCandidate& c) {
     for (size_t i = 0; i < c.points().size(); ++i) {
       if (seen.insert(c.points().IdAt(i)).second) {
-        all.Add(c.points().ViewAt(i));
+        all.AddFrom(c.points(), i);
       }
     }
   };
@@ -143,7 +143,7 @@ int Main(int argc, char** argv) {
       MaxCardinalityMatroidIntersection(m1, m2, initial, distance_fn);
   PointBuffer final_points(2, augmented.size());
   for (const int e : augmented) {
-    final_points.Add(all.ViewAt(static_cast<size_t>(e)));
+    final_points.AddFrom(all, static_cast<size_t>(e));
   }
   PrintSet("augmented S'_mu:", final_points);
   const std::vector<int> final_counts = GroupCounts(final_points, 2);

@@ -25,14 +25,15 @@
 //                           stream, judged by the median on/off time
 //                           ratio of 11 interleaved pairs of runs
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "data/synthetic.h"
 #include "service/durable_session.h"
 #include "service/session_manager.h"
@@ -72,17 +73,6 @@ std::string SpecFor(const Dataset& ds) {
   return "algo=sfdm2 dim=" + std::to_string(ds.dim()) +
          " quotas=10,10 dmin=" + std::to_string(b.min) +
          " dmax=" + std::to_string(b.max);
-}
-
-/// The `q`-quantile of `values` (0 ≤ q ≤ 1), interpolating linearly
-/// between the two nearest order statistics.
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] +
-         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 size_t DirBytes(const std::string& dir) {
@@ -241,39 +231,33 @@ int Main(int argc, char** argv) {
     // that 3% bound, so the runs come in interleaved off/on pairs that
     // alternate which side goes first — drift then hits both sides alike —
     // and the gate reads the median of the per-pair ratios.
-    constexpr int kPairs = 11;
-    std::vector<double> off_secs;
-    std::vector<double> on_secs;
-    std::vector<double> overheads;
-    for (int r = 0; r < kPairs; ++r) {
-      double sec[2] = {0.0, 0.0};  // [off, on]
-      for (int side = 0; side < 2; ++side) {
-        const bool dedup = (side == 0) == (r % 2 == 1);
-        const std::string dir = scratch + "/clean_" +
-                                (dedup ? "on" : "off") + std::to_string(r);
-        auto session = DurableSession::Create(
-            dir, dedup ? dedup_spec : spec, DurableSessionOptions{});
-        if (!session.ok()) {
-          std::fprintf(stderr, "create: %s\n",
-                       session.status().ToString().c_str());
-          return 1;
-        }
-        Timer timer;
-        if (!ingest_all(*session)) return 1;
-        sec[dedup ? 1 : 0] = timer.ElapsedSeconds();
+    auto clean_run = [&](bool dedup, int r) -> double {
+      const std::string dir = scratch + "/clean_" + (dedup ? "on" : "off") +
+                              std::to_string(r);
+      auto session = DurableSession::Create(dir, dedup ? dedup_spec : spec,
+                                            DurableSessionOptions{});
+      if (!session.ok()) {
+        std::fprintf(stderr, "create: %s\n",
+                     session.status().ToString().c_str());
+        return -1.0;
       }
-      off_secs.push_back(sec[0]);
-      on_secs.push_back(sec[1]);
-      overheads.push_back(sec[1] / sec[0] - 1.0);
-    }
+      Timer timer;
+      if (!ingest_all(*session)) return -1.0;
+      return timer.ElapsedSeconds();
+    };
+    const std::optional<bench::PairedRatio> clean =
+        bench::MeasureInterleavedPairs(
+            11, [&](int r) { return clean_run(/*dedup=*/false, r); },
+            [&](int r) { return clean_run(/*dedup=*/true, r); });
+    if (!clean.has_value()) return 1;
     result.clean_off_points_per_sec =
-        static_cast<double>(ds.size()) / Quantile(off_secs, 0.5);
+        static_cast<double>(ds.size()) / clean->a_median_sec;
     result.clean_on_points_per_sec =
-        static_cast<double>(ds.size()) / Quantile(on_secs, 0.5);
-    result.clean_overhead_frac = Quantile(overheads, 0.5);
-    result.clean_overhead_q1 = Quantile(overheads, 0.25);
-    result.clean_overhead_q3 = Quantile(overheads, 0.75);
-    result.clean_pairs = kPairs;
+        static_cast<double>(ds.size()) / clean->b_median_sec;
+    result.clean_overhead_frac = clean->median - 1.0;
+    result.clean_overhead_q1 = clean->q1 - 1.0;
+    result.clean_overhead_q3 = clean->q3 - 1.0;
+    result.clean_pairs = clean->pairs;
 
     // Duplicate handling: the whole stream again. The dedup=on session
     // rejects everything before the WAL; the dedup=off session re-admits

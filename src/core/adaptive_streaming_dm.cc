@@ -13,6 +13,17 @@
 
 namespace fdm {
 
+namespace {
+
+/// `rung.TryAdd` of the point stored at `i` in `src`.
+bool TryAddStored(StreamingCandidate& rung, const PointBuffer& src, size_t i,
+                  const Metric& metric) {
+  const std::vector<double> coords = src.CoordsAt(i);
+  return rung.TryAdd(StreamPoint{src.IdAt(i), src.GroupAt(i), coords}, metric);
+}
+
+}  // namespace
+
 Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Create(int k, size_t dim,
                                                         MetricKind metric,
                                                         double epsilon,
@@ -40,7 +51,7 @@ void AdaptiveStreamingDm::GrowUp() {
   // are pairwise >= new_mu (scan in insertion order; TryAdd enforces the
   // invariant). Capacity cannot overflow: the source has <= k points.
   for (size_t i = 0; i < top.points().size(); ++i) {
-    rung.TryAdd(top.points().ViewAt(i), metric_);
+    TryAddStored(rung, top.points(), i, metric_);
   }
   rungs_.push_back(std::move(rung));
 }
@@ -52,7 +63,7 @@ void AdaptiveStreamingDm::GrowDown() {
   // Seed with a copy: the old bottom's points are pairwise >= µ_old >
   // new_mu, so the invariant holds and every TryAdd below succeeds.
   for (size_t i = 0; i < bottom.points().size(); ++i) {
-    const bool added = rung.TryAdd(bottom.points().ViewAt(i), metric_);
+    const bool added = TryAddStored(rung, bottom.points(), i, metric_);
     FDM_DCHECK(added);
     (void)added;
   }
@@ -78,7 +89,7 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
     // Seed the ladder at the first observed nonzero distance and replay
     // the held first point.
     StreamingCandidate rung(d, static_cast<size_t>(k_), dim_);
-    rung.TryAdd(pending_.ViewAt(0), metric_);
+    TryAddStored(rung, pending_, 0, metric_);
     rungs_.push_back(std::move(rung));
     mutated = true;
   }
@@ -142,7 +153,7 @@ Result<Solution> AdaptiveStreamingDm::Solve() const {
   }
   Solution solution(dim_);
   for (size_t i = 0; i < best->points().size(); ++i) {
-    solution.points.Add(best->points().ViewAt(i));
+    solution.points.AddFrom(best->points(), i);
   }
   solution.diversity = best_div;
   solution.mu = best->mu();
@@ -186,6 +197,10 @@ Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Restore(
   if (!created.ok()) return created.status();
   AdaptiveStreamingDm algo = std::move(created.value());
   DeserializePointBuffer(reader, algo.pending_);
+  if (reader.ok() && algo.pending_.size() != (pending_valid ? 1u : 0u)) {
+    reader.Fail("pending buffer holds " +
+                std::to_string(algo.pending_.size()) + " points");
+  }
   const size_t rungs = reader.ReadU64();
   if (!reader.ok()) return reader.status();
   if (rungs > max_rungs) {

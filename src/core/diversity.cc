@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -34,11 +33,11 @@ double MinPairwiseDistance(const Dataset& dataset,
   const Metric metric = dataset.metric();
   double best = std::numeric_limits<double>::infinity();
   if (indices.size() < 2) return best;
-  KernelWorkspace workspace(dataset.dim(), indices.size());
-  workspace.AssignRows(dataset, indices);
+  PointBuffer points(dataset.dim(), indices.size());
+  for (const size_t row : indices) points.Add(dataset.At(row));
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < indices.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(indices[i]), metric, raw);
+    points.RawDistancesToAll(dataset.Point(indices[i]), metric, raw);
     for (size_t j = i + 1; j < indices.size(); ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d < best) best = d;
@@ -52,11 +51,11 @@ double SumPairwiseDistance(const Dataset& dataset,
   const Metric metric = dataset.metric();
   double sum = 0.0;
   if (indices.size() < 2) return sum;
-  KernelWorkspace workspace(dataset.dim(), indices.size());
-  workspace.AssignRows(dataset, indices);
+  PointBuffer points(dataset.dim(), indices.size());
+  for (const size_t row : indices) points.Add(dataset.At(row));
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < indices.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(indices[i]), metric, raw);
+    points.RawDistancesToAll(dataset.Point(indices[i]), metric, raw);
     for (size_t j = i + 1; j < indices.size(); ++j) {
       sum += metric.FinishDistance(raw[j]);
     }

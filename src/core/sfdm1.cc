@@ -112,7 +112,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   // repeatable mid-stream.
   PointBuffer working(dim_, static_cast<size_t>(k_) + 1);
   const PointBuffer& blind = blind_[j].points();
-  for (size_t i = 0; i < blind.size(); ++i) working.Add(blind.ViewAt(i));
+  for (size_t i = 0; i < blind.size(); ++i) working.AddFrom(blind, i);
 
   const std::vector<int> counts = GroupCounts(working, 2);
   int under = -1;  // the under-filled group i_u, if any
@@ -137,7 +137,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   // bit-identical to the scalar loops.
   PointBuffer under_side(dim_, static_cast<size_t>(k_) + 1);
   for (size_t i = 0; i < working.size(); ++i) {
-    if (working.GroupAt(i) == under) under_side.Add(working.ViewAt(i));
+    if (working.GroupAt(i) == under) under_side.AddFrom(working, i);
   }
 
   // Algorithm 2, lines 12–14: insert the donor farthest from the selected
@@ -157,8 +157,8 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
     FDM_CHECK_MSG(best_donor < donors.size(),
                   "SFDM1 balance: donor pool exhausted (U' membership "
                   "should prevent this)");
-    working.Add(donors.ViewAt(best_donor));
-    under_side.Add(donors.ViewAt(best_donor));
+    working.AddFrom(donors, best_donor);
+    under_side.AddFrom(donors, best_donor);
   }
 
   // Algorithm 2, lines 15–17: delete the other-group element closest to the
@@ -283,9 +283,9 @@ Result<Sfdm1> Sfdm1::Restore(SnapshotReader& reader) {
     return reader.status();
   }
   for (size_t j = 0; j < rungs; ++j) {
-    internal::RestoreCandidatePoints(reader, algo.blind_[j]);
-    internal::RestoreCandidatePoints(reader, algo.specific_[0][j]);
-    internal::RestoreCandidatePoints(reader, algo.specific_[1][j]);
+    internal::RestoreCandidatePoints(reader, algo.blind_[j], {0, 1});
+    internal::RestoreCandidatePoints(reader, algo.specific_[0][j], {0, 0});
+    internal::RestoreCandidatePoints(reader, algo.specific_[1][j], {1, 1});
   }
   if (!reader.ok()) return reader.status();
   algo.observed_ = observed;

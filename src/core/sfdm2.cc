@@ -142,14 +142,14 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
   std::unordered_set<int64_t> seen;
   const PointBuffer& blind = blind_[j].points();
   for (size_t i = 0; i < blind.size(); ++i) {
-    if (seen.insert(blind.IdAt(i)).second) ground.Add(blind.ViewAt(i));
+    if (seen.insert(blind.IdAt(i)).second) ground.AddFrom(blind, i);
   }
   const size_t blind_count = ground.size();
   for (int g = 0; g < m_; ++g) {
     const PointBuffer& cand =
         specific_[static_cast<size_t>(g) * rungs + j].points();
     for (size_t i = 0; i < cand.size(); ++i) {
-      if (seen.insert(cand.IdAt(i)).second) ground.Add(cand.ViewAt(i));
+      if (seen.insert(cand.IdAt(i)).second) ground.AddFrom(cand, i);
     }
   }
   const int l = static_cast<int>(ground.size());
@@ -209,7 +209,7 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
       mirrored.clear();
     }
     for (size_t i = mirrored.size(); i < members.size(); ++i) {
-      member_mirror.Add(ground.ViewAt(static_cast<size_t>(members[i])));
+      member_mirror.AddFrom(ground, static_cast<size_t>(members[i]));
       mirrored.push_back(members[i]);
     }
     return member_mirror.MinDistanceTo(
@@ -222,7 +222,7 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
 
   Solution solution(dim_);
   for (const int e : result) {
-    solution.points.Add(ground.ViewAt(static_cast<size_t>(e)));
+    solution.points.AddFrom(ground, static_cast<size_t>(e));
   }
   FDM_DCHECK(SatisfiesQuotas(solution.points, constraint_.quotas));
   solution.diversity = MinPairwiseDistance(solution.points, metric_);
@@ -336,10 +336,11 @@ Result<Sfdm2> Sfdm2::Restore(SnapshotReader& reader) {
     return reader.status();
   }
   for (size_t j = 0; j < rungs; ++j) {
-    internal::RestoreCandidatePoints(reader, algo.blind_[j]);
+    internal::RestoreCandidatePoints(reader, algo.blind_[j],
+                                     {0, algo.m_ - 1});
     for (int i = 0; i < algo.m_; ++i) {
       internal::RestoreCandidatePoints(
-          reader, algo.specific_[static_cast<size_t>(i) * rungs + j]);
+          reader, algo.specific_[static_cast<size_t>(i) * rungs + j], {i, i});
     }
   }
   if (!reader.ok()) return reader.status();

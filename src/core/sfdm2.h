@@ -81,9 +81,9 @@ class Sfdm2 : public StreamSink {
   ///
   /// Internally rung-parallel: dirty rungs fan out over the process width
   /// (each task fills only its own `rung_solve_[j]` memo slot and builds
-  /// its own `KernelWorkspace` scratch), while the final best-rung
-  /// selection stays a sequential ascending-µ scan with strict `>` — so
-  /// output is bit-identical to the sequential path at any width.
+  /// its own ground-set and mirror `PointBuffer`s), while the final
+  /// best-rung selection stays a sequential ascending-µ scan with strict
+  /// `>` — so output is bit-identical to the sequential path at any width.
   ///
   /// `Solve()` stays logically const (the memo is mutable scratch), but
   /// concurrent *calls* must still be externally serialized — two

@@ -73,10 +73,13 @@ inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
   return header;
 }
 
-/// Restores one candidate's points, enforcing its capacity bound.
+/// Restores one candidate's points, enforcing its capacity bound and the
+/// group ids it may hold (`[0, m)` for a fair ladder's blind candidate,
+/// exactly `g` for its group-`g` candidate; any for the unfair kinds).
 template <typename Candidate>
-void RestoreCandidatePoints(SnapshotReader& reader, Candidate& candidate) {
-  DeserializePointBuffer(reader, candidate.MutablePointsForRestore());
+void RestoreCandidatePoints(SnapshotReader& reader, Candidate& candidate,
+                            GroupRange groups = {}) {
+  DeserializePointBuffer(reader, candidate.MutablePointsForRestore(), groups);
   if (reader.ok() && candidate.points().size() > candidate.capacity()) {
     reader.Fail("candidate holds " + std::to_string(candidate.points().size()) +
                 " points, capacity " + std::to_string(candidate.capacity()));

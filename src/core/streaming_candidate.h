@@ -60,7 +60,9 @@ class StreamingCandidate {
   /// storage, bypassing the µ-distance admission check. Only the
   /// `Restore` hooks use this — the snapshot was written from a state
   /// where the pairwise-`≥ µ` invariant held, and the file is checksummed,
-  /// so re-verifying every insertion would only redo the stream's work.
+  /// so re-verifying every insertion would only redo the stream's work
+  /// (the restore path still rejects the points `Solve` would index out
+  /// of bounds; see `DeserializePointBuffer`).
   PointBuffer& MutablePointsForRestore() { return points_; }
 
   bool Full() const { return points_.size() >= capacity_; }
@@ -78,6 +80,7 @@ class StreamingCandidate {
     thread_local std::vector<const double*> queries;
     thread_local std::vector<double> stops;
     thread_local std::vector<double> mins;
+    thread_local std::vector<size_t> admitted;
     queries.resize(count);
     for (size_t t = 0; t < count; ++t) {
       queries[t] = point_at(t).coords.data();
@@ -89,15 +92,14 @@ class StreamingCandidate {
         std::span<const double* const>(queries.data(), count), metric,
         std::span<const double>(stops.data(), count),
         std::span<double>(mins.data(), count));
-    const size_t pre_batch = points_.size();
-    size_t kept = 0;
+    admitted.clear();
     for (size_t t = 0; t < count; ++t) {
       if (points_.size() >= capacity_) break;  // full is permanent
       if (mins[t] < prepared) continue;        // too close to the old set
       const StreamPoint& p = point_at(t);
       bool admit = true;
-      for (size_t j = pre_batch; j < points_.size(); ++j) {
-        if (metric.RawDistance(p.coords.data(), points_.CoordsAt(j).data(),
+      for (const size_t a : admitted) {
+        if (metric.RawDistance(p.coords.data(), point_at(a).coords.data(),
                                points_.dim()) < prepared) {
           admit = false;
           break;
@@ -106,13 +108,15 @@ class StreamingCandidate {
       if (!admit) continue;
       // Fused admission+insert: the kernel scan over the old set already
       // ran (above, before any mutation) and the intra-batch re-check
-      // reads the point-major layout, so nothing scans the block layout
-      // again until the batch completes — each accepted point writes only
+      // reads the admitted batch points' own input coordinates — the same
+      // doubles the buffer stores — so nothing scans the block layout
+      // again until the batch completes. Each accepted point writes only
       // its own block lane here, and the padding-replication invariant is
       // restored once per batch below instead of once per insertion.
       points_.AddDeferPadding(p);
-      ++kept;
+      admitted.push_back(t);
     }
+    const size_t kept = admitted.size();
     if (kept > 0) points_.SealPadding();
     return kept;
   }

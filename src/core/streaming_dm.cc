@@ -106,7 +106,7 @@ Result<Solution> StreamingDm::Solve() const {
   }
   Solution solution(dim_);
   for (size_t i = 0; i < best->points().size(); ++i) {
-    solution.points.Add(best->points().ViewAt(i));
+    solution.points.AddFrom(best->points(), i);
   }
   solution.diversity = best_div;
   solution.mu = best->mu();

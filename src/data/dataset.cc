@@ -5,7 +5,6 @@
 #include <numeric>
 #include <span>
 
-#include "core/kernel_workspace.h"
 #include "util/rng.h"
 
 namespace fdm {
@@ -13,8 +12,8 @@ namespace fdm {
 namespace {
 
 /// The shared O(|rows|²) min/max scan behind both bounds functions, routed
-/// through a `KernelWorkspace` mirror so the distances come out of the
-/// dispatched SIMD kernels instead of the scalar `Metric`. Row `i`'s scan
+/// through a `PointBuffer` copy of the rows so the distances come out of
+/// the dispatched SIMD kernels instead of the scalar `Metric`. Row `i`'s scan
 /// consults only the upper triangle (`j > i`) in the scalar loop's exact
 /// `(i, j)` order, and each finished entry is bit-identical to
 /// `metric(Point(rows[i]), Point(rows[j]))` — so the returned extrema (and
@@ -26,11 +25,11 @@ DistanceBounds PairwiseExtrema(const Dataset& dataset,
   DistanceBounds bounds;
   bounds.min = std::numeric_limits<double>::infinity();
   bounds.max = 0.0;
-  KernelWorkspace workspace(dataset.dim(), rows.size());
-  workspace.AssignRows(dataset, rows);
+  PointBuffer points(dataset.dim(), rows.size());
+  for (const size_t row : rows) points.Add(dataset.At(row));
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(rows[i]), metric, raw);
+    points.RawDistancesToAll(dataset.Point(rows[i]), metric, raw);
     for (size_t j = i + 1; j < rows.size(); ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d > 0.0 && d < bounds.min) bounds.min = d;

@@ -111,8 +111,8 @@ struct DistanceBounds {
 /// few thousand (tests, small figures). Zero distances (duplicate points)
 /// are excluded from the minimum, mirroring the paper's definition over
 /// *distinct* elements. The scan runs through the dispatched SIMD kernels
-/// (core/kernel_workspace.h) and is bit-identical to the scalar double
-/// loop on every target.
+/// (over a `PointBuffer` copy of the rows) and is bit-identical to the
+/// scalar double loop on every target.
 DistanceBounds ComputeDistanceBoundsExact(const Dataset& dataset);
 
 /// Sampled bounds for large datasets: distances among `sample_size` random

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geo/metric.h"
@@ -27,25 +28,21 @@ struct StreamPoint {
 
 /// Bounded, owning, structure-of-arrays point store.
 ///
-/// This is the storage behind every streaming candidate `S_µ`. Coordinates
-/// are kept in two mirrored layouts, maintained together by every mutation:
+/// This is the storage behind every streaming candidate `S_µ` and the scan
+/// side of every offline Solve loop. Coordinates live in one layout, the
+/// one the distance kernels (`geo/simd/`) scan: blocks of 8 points,
+/// dimension-major within a block (coordinate `d` of point `i` at
+/// `blocks_[(i/8)·dim·8 + d·8 + i%8]`), 64-byte aligned rows, with the
+/// padding lanes of the final block *replicating the last real point*. The
+/// kernels load full-width vectors with no tail masking anywhere — the
+/// replicated padding can tie with a real lane in a min reduction but never
+/// win it. A buffer holds `PointBlockCount(capacity) · 8 · dim` doubles, so
+/// streaming memory stays O(capacity · dim), independent of the stream
+/// length.
 ///
-///  * `coords_` — point-major and contiguous, the layout behind the span
-///    API (`CoordsAt`/`ViewAt`/`coords()`) and the snapshot format. Spans
-///    into it stay valid until the buffer is mutated, which post-processing
-///    and serialization rely on.
-///  * `blocks_` — the kernel layout: blocks of 8 points, dimension-major
-///    within a block (coordinate `d` of point `i` at
-///    `blocks_[(i/8)·dim·8 + d·8 + i%8]`), 64-byte aligned rows, with the
-///    padding lanes of the final block *replicating the last real point*.
-///    The one-to-many distance kernels (`geo/simd/`) scan this layout with
-///    full-width vector loads and no tail masking anywhere — the replicated
-///    padding can tie with a real lane in a min reduction but never win it.
-///
-/// The duplication costs one extra copy of the coordinates; buffers hold at
-/// most `capacity · dim` doubles (streaming memory stays O(capacity · dim),
-/// independent of the stream length), and in exchange every existing span
-/// consumer keeps working while the admission hot path runs at SIMD speed.
+/// Stored points have no contiguous span: `CoordsAt` gathers an owning
+/// copy, `AddFrom` copies a point lane to lane between buffers, and the
+/// snapshot format de-blocks on write (geo/point_buffer_io.h).
 ///
 /// Each stored point's squared L2 norm is cached on insertion (one extra
 /// double per point, padded and replicated like the coordinates), so the
@@ -61,7 +58,6 @@ class PointBuffer {
   /// unbounded use by offline helpers).
   PointBuffer(size_t dim, size_t capacity) : dim_(dim) {
     FDM_CHECK(dim > 0);
-    coords_.reserve(capacity * dim);
     ids_.reserve(capacity);
     groups_.reserve(capacity);
     const size_t blocks = simd::PointBlockCount(capacity);
@@ -71,29 +67,18 @@ class PointBuffer {
 
   /// Copies `p` into the buffer.
   void Add(const StreamPoint& p) {
-    FDM_DCHECK(p.coords.size() == dim_);
-    const size_t i = size();
-    coords_.insert(coords_.end(), p.coords.begin(), p.coords.end());
-    ids_.push_back(p.id);
-    groups_.push_back(p.group);
-    const double norm = internal::SquaredNorm(p.coords.data(), dim_);
-    const size_t lane = i % simd::kPointBlockLanes;
-    if (lane == 0) {
-      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
-      norms_.resize(norms_.size() + simd::kPointBlockLanes);
-    }
-    // The new point is now the last point: write its lane and replicate it
-    // into every padding lane after it (see the class comment).
-    double* block =
-        blocks_.data() + (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      double* row = block + d * simd::kPointBlockLanes;
-      for (size_t l = lane; l < simd::kPointBlockLanes; ++l) row[l] = p.coords[d];
-    }
-    const size_t norm_base = (i / simd::kPointBlockLanes) * simd::kPointBlockLanes;
-    for (size_t l = lane; l < simd::kPointBlockLanes; ++l) {
-      norms_[norm_base + l] = norm;
-    }
+    AddDeferPadding(p);
+    RepadTail();
+  }
+
+  /// Copies point `i` of another buffer `src` (same dimension) into this
+  /// one, lane to lane, with its cached norm — bit-identical to `Add` of
+  /// its coordinates.
+  void AddFrom(const PointBuffer& src, size_t i) {
+    FDM_DCHECK(&src != this && src.dim_ == dim_ && i < src.size());
+    AppendLane(src.ids_[i], src.groups_[i], src.Lane(i),
+               simd::kPointBlockLanes, src.norms_[i]);
+    RepadTail();
   }
 
   /// Batched-append fast path (the fused admission+insert of
@@ -106,26 +91,12 @@ class PointBuffer {
   /// `RawDistancesToAll`/`MinRawDistanceToMany` call touches the buffer.
   /// (A freshly resized block row is zero-filled, and a zero padding lane
   /// *can* win a min reduction — unlike the replicated-last-point padding
-  /// the kernels are specified against.) The point-major span API stays
-  /// valid throughout.
+  /// the kernels are specified against.) Per-point reads (`CoordsAt`,
+  /// ids, groups, norms) stay valid throughout.
   void AddDeferPadding(const StreamPoint& p) {
     FDM_DCHECK(p.coords.size() == dim_);
-    const size_t i = size();
-    coords_.insert(coords_.end(), p.coords.begin(), p.coords.end());
-    ids_.push_back(p.id);
-    groups_.push_back(p.group);
-    const double norm = internal::SquaredNorm(p.coords.data(), dim_);
-    const size_t lane = i % simd::kPointBlockLanes;
-    if (lane == 0) {
-      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
-      norms_.resize(norms_.size() + simd::kPointBlockLanes);
-    }
-    double* block = blocks_.data() +
-                    (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      block[d * simd::kPointBlockLanes + lane] = p.coords[d];
-    }
-    norms_[i] = norm;
+    AppendLane(p.id, p.group, p.coords.data(), 1,
+               internal::SquaredNorm(p.coords.data(), dim_));
   }
 
   /// Restores the replicate-last-point padding invariant after a run of
@@ -133,26 +104,20 @@ class PointBuffer {
   void SealPadding() { RepadTail(); }
 
   /// Removes the point at `index` (order is not preserved: the last point
-  /// moves into the hole — O(dim), including re-padding the block layout).
+  /// moves into the hole — O(dim), including re-padding the final block).
   void RemoveSwap(size_t index) {
     FDM_DCHECK(index < size());
     const size_t last = size() - 1;
     if (index != last) {
+      const double* from = Lane(last);
+      double* to = Lane(index);
       for (size_t d = 0; d < dim_; ++d) {
-        coords_[index * dim_ + d] = coords_[last * dim_ + d];
+        to[d * simd::kPointBlockLanes] = from[d * simd::kPointBlockLanes];
       }
       ids_[index] = ids_[last];
       groups_[index] = groups_[last];
       norms_[index] = norms_[last];
-      // Mirror the move into the block layout.
-      double* block = blocks_.data() +
-                      (index / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-      const size_t lane = index % simd::kPointBlockLanes;
-      for (size_t d = 0; d < dim_; ++d) {
-        block[d * simd::kPointBlockLanes + lane] = coords_[index * dim_ + d];
-      }
     }
-    coords_.resize(last * dim_);
     ids_.pop_back();
     groups_.pop_back();
     const size_t blocks = simd::PointBlockCount(last);
@@ -165,9 +130,16 @@ class PointBuffer {
   bool empty() const { return ids_.empty(); }
   size_t dim() const { return dim_; }
 
-  std::span<const double> CoordsAt(size_t i) const {
+  /// The coordinates of the point at `i`, gathered from its lane into an
+  /// owning copy (a stored point has no contiguous span to borrow).
+  std::vector<double> CoordsAt(size_t i) const {
     FDM_DCHECK(i < size());
-    return {coords_.data() + i * dim_, dim_};
+    std::vector<double> coords(dim_);
+    const double* lane = Lane(i);
+    for (size_t d = 0; d < dim_; ++d) {
+      coords[d] = lane[d * simd::kPointBlockLanes];
+    }
+    return coords;
   }
   int64_t IdAt(size_t i) const { return ids_[i]; }
   int32_t GroupAt(size_t i) const { return groups_[i]; }
@@ -178,10 +150,9 @@ class PointBuffer {
     return norms_[i];
   }
 
-  /// Whole-buffer views of the SoA arrays (serialization and bulk scans).
+  /// Whole-buffer views of the id and group arrays.
   std::span<const int64_t> ids() const { return ids_; }
   std::span<const int32_t> groups() const { return groups_; }
-  std::span<const double> coords() const { return coords_; }
 
   /// `d(x, S)` — distance from `x` to its nearest neighbour in the buffer;
   /// +infinity when empty (so "add if `d(x,S) >= µ`" admits the first point).
@@ -323,11 +294,6 @@ class PointBuffer {
     FDM_CHECK_MSG(false, "unreachable metric kind");
   }
 
-  /// The point at `i` as a `StreamPoint` view (valid until mutation).
-  StreamPoint ViewAt(size_t i) const {
-    return StreamPoint{IdAt(i), GroupAt(i), CoordsAt(i)};
-  }
-
   /// True iff the buffer holds an element with this id (O(n) scan; buffers
   /// are k-sized so this is cheap and only used in post-processing).
   bool ContainsId(int64_t id) const {
@@ -338,7 +304,6 @@ class PointBuffer {
   }
 
   void Clear() {
-    coords_.clear();
     ids_.clear();
     groups_.clear();
     blocks_.clear();
@@ -387,34 +352,61 @@ class PointBuffer {
     return 0.0;
   }
 
+  /// Coordinate 0 of the point at `i`; coordinate `d` is at
+  /// `Lane(i)[d * kPointBlockLanes]`.
+  const double* Lane(size_t i) const {
+    return blocks_.data() +
+           (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_) +
+           i % simd::kPointBlockLanes;
+  }
+  double* Lane(size_t i) {
+    return const_cast<double*>(std::as_const(*this).Lane(i));
+  }
+
+  /// Appends one point, writing only its own lane (coordinate `d` read
+  /// from `coords[d * stride]`) and its norm; the padding lanes after it
+  /// are left for `RepadTail`.
+  void AppendLane(int64_t id, int32_t group, const double* coords,
+                  size_t stride, double norm) {
+    const size_t i = size();
+    ids_.push_back(id);
+    groups_.push_back(group);
+    if (i % simd::kPointBlockLanes == 0) {
+      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
+      norms_.resize(norms_.size() + simd::kPointBlockLanes);
+    }
+    double* lane = Lane(i);
+    for (size_t d = 0; d < dim_; ++d) {
+      lane[d * simd::kPointBlockLanes] = coords[d * stride];
+    }
+    norms_[i] = norm;
+  }
+
   /// Restores the replicate-last-point invariant of the final block's
-  /// padding lanes (coordinates and norms) after a removal.
+  /// padding lanes (coordinates and norms) from the last point's lane.
   void RepadTail() {
     const size_t n = size();
     if (n == 0) return;
     const size_t last = n - 1;
     const size_t lane = last % simd::kPointBlockLanes;
-    double* block = blocks_.data() +
-                    (last / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      const double v = coords_[last * dim_ + d];
-      double* row = block + d * simd::kPointBlockLanes;
-      for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) row[l] = v;
+    double* row = Lane(last) - lane;
+    for (size_t d = 0; d < dim_; ++d, row += simd::kPointBlockLanes) {
+      for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
+        row[l] = row[lane];
+      }
     }
-    const size_t norm_base =
-        (last / simd::kPointBlockLanes) * simd::kPointBlockLanes;
+    double* norms = norms_.data() + (last - lane);
     for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
-      norms_[norm_base + l] = norms_[last];
+      norms[l] = norms[lane];
     }
   }
 
   size_t dim_;
-  std::vector<double> coords_;  // point-major, the span/serde layout
   std::vector<int64_t> ids_;
   std::vector<int32_t> groups_;
-  /// Kernel layouts (see class comment): padded AoSoA coordinates and the
-  /// matching per-point squared L2 norms, both 64-byte aligned so the
-  /// kernels' full-width aligned loads hold on every row.
+  /// The coordinates in the padded AoSoA block layout and the matching
+  /// per-point squared L2 norms (see class comment), both 64-byte aligned
+  /// so the kernels' full-width aligned loads hold on every row.
   std::vector<double, AlignedAllocator<double>> blocks_;
   std::vector<double, AlignedAllocator<double>> norms_;
 };

@@ -1,6 +1,9 @@
 #ifndef FDM_GEO_POINT_BUFFER_IO_H_
 #define FDM_GEO_POINT_BUFFER_IO_H_
 
+#include <cstdint>
+#include <limits>
+
 #include "geo/point_buffer.h"
 #include "util/binary_io.h"
 #include "util/status.h"
@@ -9,22 +12,31 @@ namespace fdm {
 
 /// Snapshot serialization of a `PointBuffer` — the storage unit behind
 /// every streaming candidate, so this is the byte layout most of a sink
-/// snapshot consists of. Structure-of-arrays, mirroring the in-memory
-/// layout with one length-prefixed bulk array per field:
+/// snapshot consists of. One length-prefixed bulk array per field:
 ///
 ///   dim u64 | ids i64-span | groups i32-span | coords double-span
 ///
 /// (span = u64 count + raw little-endian elements; the three counts must
-/// agree — size, size, size·dim). Coordinates round-trip bit-exactly (raw
-/// IEEE-754 doubles), which is what makes a restored sink's `Solve()`
-/// bit-identical to the uninterrupted run.
+/// agree — size, size, size·dim). The coordinates are written point-major,
+/// de-blocked from the buffer's 8-lane kernel layout, and round-trip
+/// bit-exactly (raw IEEE-754 doubles), which is what makes a restored
+/// sink's `Solve()` bit-identical to the uninterrupted run.
 void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer);
 
+/// The inclusive range of group ids a restored buffer may hold.
+struct GroupRange {
+  int32_t min = std::numeric_limits<int32_t>::min();
+  int32_t max = std::numeric_limits<int32_t>::max();
+};
+
 /// Appends the serialized points into `buffer`, which must be constructed
-/// with the matching dimension (typically empty). On malformed input the
-/// reader's sticky status is set and `buffer` is left partially filled —
-/// callers check `reader.ok()` before using the result.
-void DeserializePointBuffer(SnapshotReader& reader, PointBuffer& buffer);
+/// with the matching dimension (typically empty). Fails the reader on
+/// malformed input, on a point whose group lies outside `groups`, and on a
+/// non-finite coordinate — the invariants `Solve` indexes by — leaving
+/// `buffer` partially filled; callers check `reader.ok()` before using the
+/// result.
+void DeserializePointBuffer(SnapshotReader& reader, PointBuffer& buffer,
+                            GroupRange groups = {});
 
 }  // namespace fdm
 

@@ -169,7 +169,7 @@ TEST(LemmaThreeTest, ClusterPropertiesOnRealCandidates) {
   auto add_from = [&](const StreamingCandidate& c) {
     for (size_t i = 0; i < c.points().size(); ++i) {
       if (seen.insert(c.points().IdAt(i)).second) {
-        all.Add(c.points().ViewAt(i));
+        all.AddFrom(c.points(), i);
       }
     }
   };

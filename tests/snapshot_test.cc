@@ -4,6 +4,7 @@
 // uninterrupted instance — and which keeps evolving identically when the
 // rest of the stream is fed to both.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/sink_snapshot.h"
 #include "core/sliding_window.h"
 #include "core/streaming_dm.h"
+#include "core/guess_ladder.h"
 #include "data/synthetic.h"
 #include "util/binary_io.h"
 
@@ -233,6 +235,165 @@ TEST(SnapshotTest, FileRoundTrip) {
   ASSERT_TRUE(restored.ok());
   ExpectIdentical(*algo, *restored);
   std::remove(path.c_str());
+}
+
+
+// --- Restore rejects stored points that Solve would index out of bounds.
+// The snapshots below are built by hand in the writers' field order, so
+// they carry valid checksums: only the restore-side checks stand between
+// a bad stored group and an out-of-bounds write in Solve.
+
+struct StoredPoint {
+  int64_t id;
+  int32_t group;
+  std::vector<double> coords;
+};
+using StoredBuffer = std::vector<StoredPoint>;
+
+constexpr size_t kHandDim = 2;
+constexpr double kHandDMin = 1.0;
+constexpr double kHandDMax = 16.0;
+constexpr double kHandEpsilon = 0.5;
+
+/// One point buffer in `SerializePointBuffer`'s layout.
+void WriteStoredBuffer(SnapshotWriter& writer, const StoredBuffer& points) {
+  std::vector<int64_t> ids;
+  std::vector<int32_t> groups;
+  std::vector<double> coords;
+  for (const StoredPoint& p : points) {
+    ids.push_back(p.id);
+    groups.push_back(p.group);
+    coords.insert(coords.end(), p.coords.begin(), p.coords.end());
+  }
+  writer.WriteU64(kHandDim);
+  writer.WriteI64Span(ids);
+  writer.WriteI32Span(groups);
+  writer.WriteDoubleSpan(coords);
+}
+
+/// A fair snapshot with quotas {1, 1} (k = 2, m = 2), in the field order
+/// of `Sfdm1::Snapshot` or `Sfdm2::Snapshot`: the first rung's blind,
+/// group-0 and group-1 candidates hold the given points and every other
+/// rung is empty.
+std::string FairSnapshot(std::string_view tag, const StoredBuffer& blind,
+                         const StoredBuffer& group0,
+                         const StoredBuffer& group1) {
+  const bool sfdm2 = tag == Sfdm2::kSnapshotTag;
+  const auto ladder = GuessLadder::Create(kHandDMin, kHandDMax, kHandEpsilon);
+  EXPECT_TRUE(ladder.ok());
+  SnapshotWriter writer;
+  writer.WriteString(tag);
+  writer.WriteU64(2);  // quota count m
+  writer.WriteI32(1);
+  writer.WriteI32(1);
+  writer.WriteU64(kHandDim);
+  writer.WriteU8(static_cast<uint8_t>(MetricKind::kEuclidean));
+  writer.WriteDouble(kHandDMin);
+  writer.WriteDouble(kHandDMax);
+  writer.WriteDouble(kHandEpsilon);
+  writer.WriteI32(1);  // retired thread slots
+  writer.WriteI32(1);
+  if (sfdm2) {
+    writer.WriteBool(true);  // warm_start
+    writer.WriteBool(true);  // greedy_augmentation
+  }
+  writer.WriteI64(2);  // observed
+  writer.WriteU64(4);  // state_version
+  writer.WriteU64(ladder->size());
+  for (size_t j = 0; j < ladder->size(); ++j) {
+    WriteStoredBuffer(writer, j == 0 ? blind : StoredBuffer{});
+    WriteStoredBuffer(writer, j == 0 ? group0 : StoredBuffer{});
+    WriteStoredBuffer(writer, j == 0 ? group1 : StoredBuffer{});
+  }
+  return writer.Serialize();
+}
+
+/// Restores `framed` and, if that succeeds, answers a SOLVE the way a
+/// server would next.
+template <typename Algo>
+Status RestoreAndSolve(const std::string& framed) {
+  auto reader = SnapshotReader::FromBytes(framed);
+  if (!reader.ok()) return reader.status();
+  auto restored = Algo::Restore(*reader);
+  if (!restored.ok()) return restored.status();
+  return restored->Solve().status();
+}
+
+template <typename Algo>
+void ExpectRestoreRejectsInvalidPoints() {
+  const std::string_view tag = Algo::kSnapshotTag;
+  const StoredPoint a{0, 0, {0.0, 0.0}};
+  const StoredPoint b{1, 1, {20.0, 0.0}};
+  // The hand-built layout is right: valid points restore and solve.
+  EXPECT_TRUE(RestoreAndSolve<Algo>(FairSnapshot(tag, {a, b}, {a}, {b})).ok());
+
+  // A blind candidate holding group m = 2.
+  const StoredPoint group_m{1, 2, {20.0, 0.0}};
+  const Status bad_blind =
+      RestoreAndSolve<Algo>(FairSnapshot(tag, {a, group_m}, {a}, {b}));
+  EXPECT_FALSE(bad_blind.ok());
+  EXPECT_NE(bad_blind.ToString().find("group 2"), std::string::npos)
+      << bad_blind.ToString();
+  // A group-0 candidate holding a group-1 point.
+  EXPECT_FALSE(
+      RestoreAndSolve<Algo>(FairSnapshot(tag, {a, b}, {b}, {b})).ok());
+  // A negative group.
+  const StoredPoint negative{1, -1, {20.0, 0.0}};
+  EXPECT_FALSE(
+      RestoreAndSolve<Algo>(FairSnapshot(tag, {a, negative}, {a}, {b})).ok());
+
+  // A NaN coordinate.
+  const StoredPoint nan{1, 1, {std::numeric_limits<double>::quiet_NaN(), 0.0}};
+  const Status bad_coord =
+      RestoreAndSolve<Algo>(FairSnapshot(tag, {a, nan}, {a}, {nan}));
+  EXPECT_FALSE(bad_coord.ok());
+  EXPECT_NE(bad_coord.ToString().find("non-finite"), std::string::npos)
+      << bad_coord.ToString();
+}
+
+TEST(SnapshotTest, Sfdm1RestoreRejectsInvalidStoredPoints) {
+  ExpectRestoreRejectsInvalidPoints<Sfdm1>();
+}
+
+TEST(SnapshotTest, Sfdm2RestoreRejectsInvalidStoredPoints) {
+  ExpectRestoreRejectsInvalidPoints<Sfdm2>();
+}
+
+/// An adaptive snapshot (field order of `AdaptiveStreamingDm::Snapshot`,
+/// k = 2, no rungs) whose pending-point flag is `pending_valid` and whose
+/// pending buffer holds `pending`.
+std::string AdaptiveSnapshot(bool pending_valid, const StoredBuffer& pending) {
+  SnapshotWriter writer;
+  writer.WriteString(AdaptiveStreamingDm::kSnapshotTag);
+  writer.WriteI32(2);  // k
+  writer.WriteU64(kHandDim);
+  writer.WriteU8(static_cast<uint8_t>(MetricKind::kEuclidean));
+  writer.WriteDouble(kHandEpsilon);
+  writer.WriteU64(8);  // max_rungs
+  writer.WriteI32(1);  // retired thread slot
+  writer.WriteI64(1);  // observed
+  writer.WriteU64(1);  // state_version
+  writer.WriteBool(pending_valid);
+  WriteStoredBuffer(writer, pending);
+  writer.WriteU64(0);  // rungs
+  return writer.Serialize();
+}
+
+TEST(SnapshotTest, AdaptiveRestoreRejectsPendingCountMismatch) {
+  const StoredPoint a{0, 0, {0.0, 0.0}};
+  const StoredPoint b{1, 0, {5.0, 0.0}};
+  auto restore = [](const std::string& framed) {
+    auto reader = SnapshotReader::FromBytes(framed);
+    EXPECT_TRUE(reader.ok());
+    return AdaptiveStreamingDm::Restore(*reader).status();
+  };
+  EXPECT_TRUE(restore(AdaptiveSnapshot(true, {a})).ok());
+  EXPECT_TRUE(restore(AdaptiveSnapshot(false, {})).ok());
+  // Observe and StoredElements read the pending point whenever the flag
+  // is set, so a flag without its point must not restore.
+  EXPECT_FALSE(restore(AdaptiveSnapshot(true, {})).ok());
+  EXPECT_FALSE(restore(AdaptiveSnapshot(false, {a})).ok());
+  EXPECT_FALSE(restore(AdaptiveSnapshot(true, {a, b})).ok());
 }
 
 }  // namespace
