@@ -28,10 +28,9 @@ Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Create(int k, size_t dim,
                                                         MetricKind metric,
                                                         double epsilon,
                                                         size_t max_rungs) {
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
+  if (Status shape = ValidateCandidateShape(k, dim); !shape.ok()) {
+    return shape;
   }
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
   if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
     return Status::InvalidArgument("epsilon must be in (0,1)");
   }
@@ -193,8 +192,12 @@ Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Restore(
   const uint64_t state_version = reader.ReadU64();
   const bool pending_valid = reader.ReadBool();
   if (!reader.ok()) return reader.status();
+  // Create checks k and dim before anything is sized from them.
   auto created = Create(k, dim, metric, epsilon, max_rungs);
-  if (!created.ok()) return created.status();
+  if (!created.ok()) {
+    reader.Fail(created.status().message());
+    return reader.status();
+  }
   AdaptiveStreamingDm algo = std::move(created.value());
   DeserializePointBuffer(reader, algo.pending_);
   if (reader.ok() && algo.pending_.size() != (pending_valid ? 1u : 0u)) {

@@ -2,12 +2,38 @@
 #define FDM_CORE_STREAMING_CANDIDATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "geo/point_buffer.h"
+#include "util/status.h"
 
 namespace fdm {
+
+/// Largest capacity (the solution size k) and point dimension a candidate
+/// takes. Far above any real use (the paper's k ≤ 50, Census' d = 25),
+/// they let a sink refuse a typo'd spec or a corrupt snapshot header up
+/// front instead of meeting it as an allocation failure later.
+inline constexpr int64_t kMaxCandidateCapacity = int64_t{1} << 20;
+inline constexpr uint64_t kMaxPointDim = uint64_t{1} << 20;
+
+/// Ok iff `capacity` ∈ [1, kMaxCandidateCapacity] and
+/// `dim` ∈ [1, kMaxPointDim]; the sinks' `Create` checks this first.
+inline Status ValidateCandidateShape(int64_t capacity, uint64_t dim) {
+  if (capacity < 1 || capacity > kMaxCandidateCapacity) {
+    return Status::InvalidArgument("k must be in [1, " +
+                                   std::to_string(kMaxCandidateCapacity) +
+                                   "], got " + std::to_string(capacity));
+  }
+  if (dim < 1 || dim > kMaxPointDim) {
+    return Status::InvalidArgument("dim must be in [1, " +
+                                   std::to_string(kMaxPointDim) + "], got " +
+                                   std::to_string(dim));
+  }
+  return Status::Ok();
+}
 
 /// One candidate `S_µ` of Algorithm 1: a bounded set that accepts a point
 /// iff it is at distance `≥ µ` from everything already kept and the
@@ -15,10 +41,15 @@ namespace fdm {
 ///
 /// Invariant maintained at all times: the stored points are pairwise at
 /// distance `≥ µ`, hence `div(S_µ) ≥ µ` whenever the candidate is full.
+///
+/// Storage grows with the points actually kept (a restore reserves the
+/// stored count); nothing is reserved from `capacity`, so a ladder of
+/// mostly unfilled rungs costs what it holds, and no header value sizes
+/// an allocation.
 class StreamingCandidate {
  public:
   StreamingCandidate(double mu, size_t capacity, size_t dim)
-      : mu_(mu), capacity_(capacity), points_(dim, capacity) {}
+      : mu_(mu), capacity_(capacity), points_(dim, 0) {}
 
   /// Algorithm 1, lines 5–6: add `p` iff `|S_µ| < capacity` and
   /// `d(p, S_µ) ≥ µ`. Returns true iff the point was kept.

@@ -24,10 +24,9 @@ StreamingDm::StreamingDm(int k, size_t dim, MetricKind metric,
 
 Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
                                         const StreamingOptions& options) {
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
+  if (Status shape = ValidateCandidateShape(k, dim); !shape.ok()) {
+    return shape;
   }
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
@@ -133,20 +132,36 @@ Result<StreamingDm> StreamingDm::Restore(SnapshotReader& reader) {
       internal::ReadStreamingHeader(reader);
   const int64_t observed = reader.ReadI64();
   const uint64_t state_version = reader.ReadU64();
-  const size_t rungs = reader.ReadU64();
+  const uint64_t rungs = reader.ReadU64();
   if (!reader.ok()) return reader.status();
-  // The guess ladder is a pure function of (d_min, d_max, ε), so Create
-  // rebuilds the rung structure deterministically; the snapshot carries
-  // only the retained points.
-  auto created = Create(k, header.dim, header.metric, header.options);
-  if (!created.ok()) return created.status();
-  StreamingDm algo = std::move(created.value());
-  if (rungs != algo.candidates_.size()) {
-    reader.Fail("rung count " + std::to_string(rungs) +
-                " does not match rebuilt ladder of " +
-                std::to_string(algo.candidates_.size()));
+  // Nothing is sized from the header before it is checked: k and dim
+  // against the limits every sink is created under, and the rung count
+  // against the bytes left (each rung's buffer takes at least
+  // kMinPointBufferBytes) and then the rebuilt ladder. The ladder is a
+  // pure function of (d_min, d_max, ε); the snapshot carries only the
+  // retained points.
+  if (Status shape = ValidateCandidateShape(k, header.dim); !shape.ok()) {
+    reader.Fail(shape.message());
     return reader.status();
   }
+  if (rungs > reader.Remaining() / kMinPointBufferBytes) {
+    reader.Fail("rung count " + std::to_string(rungs) + " exceeds the " +
+                std::to_string(reader.Remaining()) + " bytes left");
+    return reader.status();
+  }
+  auto ladder = GuessLadder::Create(header.options.d_min, header.options.d_max,
+                                    header.options.epsilon);
+  if (!ladder.ok()) {
+    reader.Fail(ladder.status().message());
+    return reader.status();
+  }
+  if (rungs != ladder->size()) {
+    reader.Fail("rung count " + std::to_string(rungs) +
+                " does not match rebuilt ladder of " +
+                std::to_string(ladder->size()));
+    return reader.status();
+  }
+  StreamingDm algo(k, header.dim, header.metric, std::move(ladder.value()));
   for (StreamingCandidate& candidate : algo.candidates_) {
     internal::RestoreCandidatePoints(reader, candidate);
   }

@@ -58,10 +58,15 @@ class PointBuffer {
   /// unbounded use by offline helpers).
   PointBuffer(size_t dim, size_t capacity) : dim_(dim) {
     FDM_CHECK(dim > 0);
+    Reserve(capacity);
+  }
+
+  /// Reserves space for `capacity` points in total.
+  void Reserve(size_t capacity) {
     ids_.reserve(capacity);
     groups_.reserve(capacity);
     const size_t blocks = simd::PointBlockCount(capacity);
-    blocks_.reserve(blocks * simd::PointBlockStride(dim));
+    blocks_.reserve(blocks * simd::PointBlockStride(dim_));
     norms_.reserve(blocks * simd::kPointBlockLanes);
   }
 

@@ -40,6 +40,8 @@ void DeserializePointBuffer(SnapshotReader& reader, PointBuffer& buffer,
                 std::to_string(dim));
     return;
   }
+  // Sized from the stored count, which the payload length bounds above.
+  buffer.Reserve(buffer.size() + ids.size());
   std::vector<double> coords(dim);
   for (size_t i = 0; i < ids.size(); ++i) {
     const int32_t group = point_groups[i];

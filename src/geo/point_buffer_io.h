@@ -23,6 +23,10 @@ namespace fdm {
 /// sink's `Solve()` bit-identical to the uninterrupted run.
 void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer);
 
+/// Bytes an empty serialized buffer takes (its dim and three counts): the
+/// floor a restore checks a header's buffer count against.
+inline constexpr size_t kMinPointBufferBytes = 4 * sizeof(uint64_t);
+
 /// The inclusive range of group ids a restored buffer may hold.
 struct GroupRange {
   int32_t min = std::numeric_limits<int32_t>::min();

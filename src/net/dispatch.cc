@@ -1,17 +1,19 @@
 #include "net/dispatch.h"
 
+#include <concepts>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "net/text_cursor.h"
 #include "obs/metrics.h"
 #include "replica/replica_manager.h"
 #include "replica/replication_source.h"
 #include "service/durable_session.h"
 #include "service/session_manager.h"
 #include "util/stringutil.h"
+#include "util/timer.h"
 
 namespace fdm::net {
 namespace {
@@ -22,13 +24,11 @@ obs::Counter& RequestsCounter() {
   return c;
 }
 
-/// True iff nothing but whitespace remains on the command line. Every
-/// no-payload verb checks this: `METRICS json garbage` or `SOLVE s extra`
-/// is a framing bug on the client side, and silently accepting it on some
-/// verbs while OBSERVEB strictly rejects it taught clients nothing.
-bool AtLineEnd(std::istringstream& in) {
-  std::string extra;
-  return !(in >> extra);
+obs::Histogram& ParseHist() {
+  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
+      "fdm_dispatch_parse_ns",
+      "latency of turning one OBSERVE/OBSERVEB request's text into points");
+  return h;
 }
 
 /// Session names are path components, mirroring `SessionManager`'s rule —
@@ -53,59 +53,102 @@ void ReplyStatus(const Status& status, std::string* out) {
   }
 }
 
-void AppendIds(const Solution& solution, std::string* out) {
-  // `<<` formatting, not std::to_string: the latter pads doubles to six
-  // decimals and would silently change every SOLVE reply byte.
-  std::ostringstream text;
-  text << "div=" << solution.diversity << " ids=";
-  const auto ids = solution.Ids();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) text << ',';
-    text << ids[i];
-  }
-  out->append(text.str());
+/// Reply fields ` key=value`, printed as `<<` prints them.
+template <std::integral Int>
+void AppendField(std::string_view key, Int value, std::string* out) {
+  out->append(key).append(std::to_string(value));
+}
+void AppendField(std::string_view key, double value, std::string* out) {
+  out->append(key);
+  AppendDouble(value, out);
+}
+void AppendField(std::string_view key, std::string_view value,
+                 std::string* out) {
+  out->append(key).append(value);
 }
 
-/// Parses `<id> <group> <c0> <c1> ...` from `in` into the output params.
-/// Returns "" on success, else the reason ("requires <id> <group>
-/// <coords...>", "requires numeric coordinates"). Only the syntax is
-/// checked here; the values (dimension, group range, finiteness) are
-/// validated once by `DurableSession::Ingest`, before the WAL append.
-std::string ParsePointFields(std::istringstream& in, int64_t* id,
-                             int32_t* group, std::vector<double>* coords) {
-  if (!(in >> *id >> *group)) {
-    return "requires <id> <group> <coords...>";
+void AppendIds(const Solution& solution, std::string* out) {
+  // `%.6g`, as `<<` prints it, not std::to_string: the latter pads
+  // doubles to six decimals and would silently change every SOLVE reply.
+  AppendField("div=", solution.diversity, out);
+  out->append(" ids=");
+  const auto ids = solution.Ids();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(std::to_string(ids[i]));
   }
-  const size_t start = coords->size();
-  double c = 0.0;
-  while (in >> c) coords->push_back(c);
-  // `>>` stops silently at a non-numeric token; distinguish "end of line"
-  // from "garbage mid-line" — a malformed point must be rejected, never
-  // half-parsed.
-  if (coords->size() == start || !in.eof()) {
-    coords->resize(start);
-    return "requires numeric coordinates";
+}
+
+/// OBSERVEB's announced point lines, parsed: coordinates in one array,
+/// points viewing into it.
+struct ParsedBatch {
+  std::vector<double> coords;
+  std::vector<StreamPoint> points;
+};
+
+/// Parses the `n` point lines of an OBSERVEB. Returns "" on success, else
+/// the error. A malformed line fails the whole batch (nothing is applied
+/// — a batch is one request), but the remaining lines are still consumed
+/// so the stream stays in command framing.
+std::string ParseBatch(int64_t n, LineSource& payload, ParsedBatch* batch) {
+  std::vector<int64_t> ids;
+  std::vector<int32_t> groups;
+  std::vector<size_t> offsets;  // per-point start into `coords`
+  std::vector<double>& coords = batch->coords;
+  std::string error;
+  std::string_view point_line;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!payload.NextLine(&point_line)) {
+      error = "stream ended mid-batch";
+      break;
+    }
+    if (!error.empty()) continue;  // draining after a bad line
+    TextCursor pin(point_line);
+    int64_t id = -1;
+    int32_t group = 0;
+    const size_t start = coords.size();
+    const std::string_view reason = ParsePointFields(pin, &id, &group, &coords);
+    if (!reason.empty()) {
+      error = "batch line " + std::to_string(i) + " ";
+      error.append(reason);
+      continue;
+    }
+    ids.push_back(id);
+    groups.push_back(group);
+    offsets.push_back(start);
   }
-  return "";
+  if (!error.empty()) return error;
+  // Spans are built only now: `coords` no longer reallocates.
+  offsets.push_back(coords.size());
+  batch->points.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    batch->points.push_back(StreamPoint{
+        ids[i], groups[i],
+        std::span<const double>(coords.data() + offsets[i],
+                                offsets[i + 1] - offsets[i])});
+  }
+  return error;
 }
 
 }  // namespace
 
-bool StringLineSource::NextLine(std::string* line) {
+bool StringLineSource::NextLine(std::string_view* line) {
   if (rest_.empty()) return false;
   const size_t nl = rest_.find('\n');
   if (nl == std::string_view::npos) {
-    line->assign(rest_);
+    *line = rest_;
     rest_ = {};
   } else {
-    line->assign(rest_.substr(0, nl));
+    *line = rest_.substr(0, nl);
     rest_.remove_prefix(nl + 1);
   }
   return true;
 }
 
-bool StreamLineSource::NextLine(std::string* line) {
-  return static_cast<bool>(std::getline(in_, *line));
+bool StreamLineSource::NextLine(std::string_view* line) {
+  if (!std::getline(in_, line_)) return false;
+  *line = line_;
+  return true;
 }
 
 RequestDispatcher::RequestDispatcher(SessionManager* sessions,
@@ -118,17 +161,19 @@ RequestDispatcher::RequestDispatcher(ReplicaManager* replicas,
 
 RequestDispatcher::~RequestDispatcher() = default;
 
-RequestInfo RequestDispatcher::Classify(const std::string& line) const {
+RequestInfo RequestDispatcher::Classify(std::string_view line) const {
   RequestInfo info;
-  std::istringstream in(line);
-  if (!(in >> info.verb)) return info;  // blank line
+  TextCursor in(line);
+  info.verb = in.Word();
+  if (info.verb.empty()) return info;  // blank line
   if (info.verb == "LIST" || info.verb == "METRICS" || info.verb == "QUIT") {
     return info;
   }
-  if (!(in >> info.session)) return info;
+  info.session = in.Word();
+  if (info.session.empty()) return info;
   if (info.verb == "OBSERVEB") {
     int64_t n = 0;
-    if (in >> n && n > 0) info.payload_lines = n;
+    if (in.Int64(&n) && n > 0) info.payload_lines = n;
   } else if (info.verb == "SOLVE") {
     info.cold_solve = sessions_ != nullptr
                           ? !sessions_->SolveLikelyCached(info.session)
@@ -137,24 +182,26 @@ RequestInfo RequestDispatcher::Classify(const std::string& line) const {
   return info;
 }
 
-RequestOutcome RequestDispatcher::HandleRequest(const std::string& line,
+// Every no-payload verb checks `in.AtEnd()`: `METRICS json garbage` or
+// `SOLVE s extra` is a framing bug on the client side, and silently
+// accepting it on some verbs while OBSERVEB strictly rejects it taught
+// clients nothing.
+RequestOutcome RequestDispatcher::HandleRequest(std::string_view line,
                                                 LineSource& payload,
                                                 std::string* out) {
-  std::istringstream in(line);
-  std::string command;
-  if (!(in >> command)) return RequestOutcome::kReply;  // blank line
+  TextCursor in(line);
+  const std::string_view command = in.Word();
+  if (command.empty()) return RequestOutcome::kReply;  // blank line
   RequestsCounter().Inc();
   return sessions_ != nullptr ? HandlePrimary(command, in, payload, out)
                               : HandleFollower(command, in, payload, out);
 }
 
-bool RequestDispatcher::HandleMetricsVerb(const std::string& command,
-                                          std::istringstream& in,
-                                          std::string* out) {
+bool RequestDispatcher::HandleMetricsVerb(std::string_view command,
+                                          TextCursor& in, std::string* out) {
   if (command != "METRICS") return false;
-  std::string mode;
-  in >> mode;
-  if (mode == "json" && AtLineEnd(in)) {
+  const std::string_view mode = in.Word();
+  if (mode == "json" && in.AtEnd()) {
     out->append("OK ")
         .append(obs::MetricsRegistry::Global().RenderJson())
         .append("\n");
@@ -167,9 +214,9 @@ bool RequestDispatcher::HandleMetricsVerb(const std::string& command,
   return true;
 }
 
-void RequestDispatcher::HandleReplicationVerb(const std::string& command,
+void RequestDispatcher::HandleReplicationVerb(std::string_view command,
                                               const std::string& name,
-                                              std::istringstream& in,
+                                              TextCursor& in,
                                               std::string* out) {
   if (!ValidSessionName(name)) {
     out->append("ERR invalid session name\n");
@@ -177,11 +224,11 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
   }
   int64_t seq = 0;
   if (command != "RMANIFEST") {
-    if (!(in >> seq) || !AtLineEnd(in)) {
+    if (!in.Int64(&seq) || !in.AtEnd()) {
       out->append("ERR ").append(command).append(" requires <name> <seq>\n");
       return;
     }
-  } else if (!AtLineEnd(in)) {
+  } else if (!in.AtEnd()) {
     out->append("ERR RMANIFEST takes only a session name\n");
     return;
   }
@@ -249,13 +296,13 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
   out->push_back('\n');
 }
 
-RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
-                                                std::istringstream& in,
+RequestOutcome RequestDispatcher::HandlePrimary(std::string_view command,
+                                                TextCursor& in,
                                                 LineSource& payload,
                                                 std::string* out) {
   SessionManager& sessions = *sessions_;
   if (command == "QUIT") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR QUIT takes no arguments\n");
       return RequestOutcome::kReply;
     }
@@ -264,7 +311,7 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
   }
   if (HandleMetricsVerb(command, in, out)) return RequestOutcome::kReply;
   if (command == "LIST") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR LIST takes no arguments\n");
       return RequestOutcome::kReply;
     }
@@ -277,20 +324,21 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
     return RequestOutcome::kReply;
   }
 
-  std::string name;
-  if (!(in >> name)) {
+  const std::string name(in.Word());
+  if (name.empty()) {
     out->append("ERR ").append(command).append(" requires a session name\n");
     return RequestOutcome::kReply;
   }
   if (command == "CREATE") {
-    std::string spec;
-    std::getline(in, spec);
-    ReplyStatus(sessions.CreateSession(name, std::string(Trim(spec))), out);
+    ReplyStatus(sessions.CreateSession(name, std::string(Trim(in.Rest()))),
+                out);
   } else if (command == "OBSERVE") {
+    const Timer parse_timer;
     int64_t id = -1;
     int32_t group = 0;
     std::vector<double> coords;
-    const std::string error = ParsePointFields(in, &id, &group, &coords);
+    const std::string_view error = ParsePointFields(in, &id, &group, &coords);
+    ParseHist().Record(static_cast<uint64_t>(parse_timer.ElapsedNanos()));
     if (!error.empty()) {
       out->append("ERR OBSERVE ").append(error).append("\n");
       return RequestOutcome::kReply;
@@ -306,64 +354,28 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
     }
   } else if (command == "OBSERVEB") {
     int64_t n = -1;
-    if (!(in >> n) || n < 0) {
+    if (!in.Int64(&n) || n < 0) {
       out->append("ERR OBSERVEB requires <name> <n>\n");
       return RequestOutcome::kReply;
     }
-    in.clear();  // the int read may have latched eofbit; that's fine
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       // The count DID parse, so the client sent n point lines — drain
       // them before ERRing or they'd be misread as commands.
-      std::string drained;
+      std::string_view drained;
       for (int64_t i = 0; i < n && payload.NextLine(&drained); ++i) {
       }
       out->append("ERR OBSERVEB takes nothing after <n>\n");
       return RequestOutcome::kReply;
     }
-    // Parse the n announced point lines. A malformed line fails the
-    // whole batch (nothing is applied — a batch is one request), but
-    // the remaining lines are still consumed so the stream stays in
-    // command framing.
-    std::vector<int64_t> ids;
-    std::vector<int32_t> groups;
-    std::vector<size_t> offsets;  // per-point start into `coords`
-    std::vector<double> coords;
-    std::string error;
-    std::string point_line;
-    for (int64_t i = 0; i < n; ++i) {
-      if (!payload.NextLine(&point_line)) {
-        error = "stream ended mid-batch";
-        break;
-      }
-      if (!error.empty()) continue;  // draining after a bad line
-      std::istringstream pin(point_line);
-      int64_t id = -1;
-      int32_t group = 0;
-      const size_t start = coords.size();
-      const std::string reason = ParsePointFields(pin, &id, &group, &coords);
-      if (!reason.empty()) {
-        error = "batch line " + std::to_string(i) + " " + reason;
-        continue;
-      }
-      ids.push_back(id);
-      groups.push_back(group);
-      offsets.push_back(start);
-    }
+    const Timer parse_timer;
+    ParsedBatch batch;
+    const std::string error = ParseBatch(n, payload, &batch);
+    ParseHist().Record(static_cast<uint64_t>(parse_timer.ElapsedNanos()));
     if (!error.empty()) {
       out->append("ERR OBSERVEB ").append(error).append("\n");
       return RequestOutcome::kReply;
     }
-    // Spans are built only now: `coords` no longer reallocates.
-    offsets.push_back(coords.size());
-    std::vector<StreamPoint> points;
-    points.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      points.push_back(StreamPoint{
-          ids[i], groups[i],
-          std::span<const double>(coords.data() + offsets[i],
-                                  offsets[i + 1] - offsets[i])});
-    }
-    auto outcome = sessions.Ingest(name, points, /*as_batch=*/true);
+    auto outcome = sessions.Ingest(name, batch.points, /*as_batch=*/true);
     if (!outcome.ok()) {
       out->append("ERR ").append(outcome.status().ToString()).append("\n");
     } else {
@@ -374,7 +386,7 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
           .append("\n");
     }
   } else if (command == "SOLVE") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR SOLVE takes only a session name\n");
       return RequestOutcome::kReply;
     }
@@ -393,13 +405,13 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
     out->append("ERR ").append(command).append(
         " is a follower verb (start with --follow=DIR)\n");
   } else if (command == "SNAPSHOT") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR SNAPSHOT takes only a session name\n");
       return RequestOutcome::kReply;
     }
     ReplyStatus(sessions.Snapshot(name), out);
   } else if (command == "RESTORE") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR RESTORE takes only a session name\n");
       return RequestOutcome::kReply;
     }
@@ -419,7 +431,7 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
           .append("\n");
     }
   } else if (command == "STATS") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR STATS takes only a session name\n");
       return RequestOutcome::kReply;
     }
@@ -428,40 +440,40 @@ RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
       out->append("ERR ").append(stats.status().ToString()).append("\n");
       return RequestOutcome::kReply;
     }
-    std::ostringstream line;
-    line << "OK observed=" << stats->observed << " kept=" << stats->kept
-         << " stored=" << stats->stored
-         << " snapshot_seq=" << stats->snapshot_seq
-         << " version=" << stats->state_version
-         << " solve_hits=" << stats->solve_hits
-         << " solve_misses=" << stats->solve_misses
-         << " solve_p50_cached_ms=" << stats->solve_p50_cached_ms
-         << " solve_p99_cached_ms=" << stats->solve_p99_cached_ms
-         << " solve_p50_cold_ms=" << stats->solve_p50_cold_ms
-         << " solve_p99_cold_ms=" << stats->solve_p99_cold_ms
-         << " snapshots=" << stats->snapshots_taken
-         << " restores=" << stats->restores
-         << " replayed=" << stats->replayed_records
-         << " dedup=" << (stats->dedup ? "on" : "off")
-         << " duplicates_rejected=" << stats->duplicates_rejected
-         << " filter_bytes=" << stats->filter_bytes
-         << " filter_grows=" << stats->filter_grows
-         << " kernel=" << stats->kernel << " spec=\"" << stats->spec
-         << "\"\n";
-    out->append(line.str());
+    AppendField("OK observed=", stats->observed, out);
+    AppendField(" kept=", stats->kept, out);
+    AppendField(" stored=", stats->stored, out);
+    AppendField(" snapshot_seq=", stats->snapshot_seq, out);
+    AppendField(" version=", stats->state_version, out);
+    AppendField(" solve_hits=", stats->solve_hits, out);
+    AppendField(" solve_misses=", stats->solve_misses, out);
+    AppendField(" solve_p50_cached_ms=", stats->solve_p50_cached_ms, out);
+    AppendField(" solve_p99_cached_ms=", stats->solve_p99_cached_ms, out);
+    AppendField(" solve_p50_cold_ms=", stats->solve_p50_cold_ms, out);
+    AppendField(" solve_p99_cold_ms=", stats->solve_p99_cold_ms, out);
+    AppendField(" snapshots=", stats->snapshots_taken, out);
+    AppendField(" restores=", stats->restores, out);
+    AppendField(" replayed=", stats->replayed_records, out);
+    AppendField(" dedup=", stats->dedup ? "on" : "off", out);
+    AppendField(" duplicates_rejected=", stats->duplicates_rejected, out);
+    AppendField(" filter_bytes=", stats->filter_bytes, out);
+    AppendField(" filter_grows=", stats->filter_grows, out);
+    AppendField(" kernel=", stats->kernel, out);
+    AppendField(" spec=\"", stats->spec, out);
+    out->append("\"\n");
   } else {
     out->append("ERR unknown command '").append(command).append("'\n");
   }
   return RequestOutcome::kReply;
 }
 
-RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
-                                                 std::istringstream& in,
+RequestOutcome RequestDispatcher::HandleFollower(std::string_view command,
+                                                 TextCursor& in,
                                                  LineSource& payload,
                                                  std::string* out) {
   ReplicaManager& replicas = *replicas_;
   if (command == "QUIT") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR QUIT takes no arguments\n");
       return RequestOutcome::kReply;
     }
@@ -470,7 +482,7 @@ RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
   }
   if (HandleMetricsVerb(command, in, out)) return RequestOutcome::kReply;
   if (command == "LIST") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR LIST takes no arguments\n");
       return RequestOutcome::kReply;
     }
@@ -488,10 +500,9 @@ RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
       // Keep the framing invariant even when rejecting: the client
       // announced n point lines and will send them — swallow them so
       // they are not misread as commands.
-      std::string name;
       int64_t n = 0;
-      if ((in >> name >> n) && n > 0) {
-        std::string discard;
+      if (!in.Word().empty() && in.Int64(&n) && n > 0) {
+        std::string_view discard;
         for (int64_t i = 0; i < n && payload.NextLine(&discard); ++i) {
         }
       }
@@ -502,13 +513,13 @@ RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
     return RequestOutcome::kReply;
   }
 
-  std::string name;
-  if (!(in >> name)) {
+  const std::string name(in.Word());
+  if (name.empty()) {
     out->append("ERR ").append(command).append(" requires a session name\n");
     return RequestOutcome::kReply;
   }
   if (command == "SOLVE") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR SOLVE takes only a session name\n");
       return RequestOutcome::kReply;
     }
@@ -519,13 +530,13 @@ RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
     }
     out->append("OK ");
     AppendIds(solve->solution, out);
-    std::ostringstream tail;
-    tail << " version=" << solve->state_version
-         << " applied=" << solve->applied_seq << " lag=" << solve->lag
-         << " stale=" << (solve->stale ? 1 : 0) << "\n";
-    out->append(tail.str());
+    AppendField(" version=", solve->state_version, out);
+    AppendField(" applied=", solve->applied_seq, out);
+    AppendField(" lag=", solve->lag, out);
+    AppendField(" stale=", solve->stale ? 1 : 0, out);
+    out->push_back('\n');
   } else if (command == "STATS" || command == "LAG" || command == "REPLICA") {
-    if (!AtLineEnd(in)) {
+    if (!in.AtEnd()) {
       out->append("ERR ").append(command).append(
           " takes only a session name\n");
       return RequestOutcome::kReply;
@@ -545,22 +556,24 @@ RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
       out->append("ERR ").append(stats.status().ToString()).append("\n");
       return RequestOutcome::kReply;
     }
-    std::ostringstream line;
-    line << "OK";
-    if (just_applied >= 0) line << " applied_records=" << just_applied;
-    line << " applied=" << stats->applied_seq
-         << " primary=" << stats->primary_seq << " lag=" << stats->lag
-         << " stale=" << (stats->stale ? 1 : 0)
-         << " version=" << stats->state_version
-         << " resyncs=" << stats->resyncs
-         << " segments_fetched=" << stats->segments_fetched
-         << " snapshots_loaded=" << stats->snapshots_loaded
-         << " dedup=" << (stats->dedup ? "on" : "off")
-         << " duplicates_rejected=" << stats->duplicates_rejected
-         << " filter_bytes=" << stats->filter_bytes
-         << " solve_hits=" << stats->solve.hits
-         << " solve_misses=" << stats->solve.misses << "\n";
-    out->append(line.str());
+    out->append("OK");
+    if (just_applied >= 0) {
+      AppendField(" applied_records=", just_applied, out);
+    }
+    AppendField(" applied=", stats->applied_seq, out);
+    AppendField(" primary=", stats->primary_seq, out);
+    AppendField(" lag=", stats->lag, out);
+    AppendField(" stale=", stats->stale ? 1 : 0, out);
+    AppendField(" version=", stats->state_version, out);
+    AppendField(" resyncs=", stats->resyncs, out);
+    AppendField(" segments_fetched=", stats->segments_fetched, out);
+    AppendField(" snapshots_loaded=", stats->snapshots_loaded, out);
+    AppendField(" dedup=", stats->dedup ? "on" : "off", out);
+    AppendField(" duplicates_rejected=", stats->duplicates_rejected, out);
+    AppendField(" filter_bytes=", stats->filter_bytes, out);
+    AppendField(" solve_hits=", stats->solve.hits, out);
+    AppendField(" solve_misses=", stats->solve.misses, out);
+    out->push_back('\n');
   } else {
     out->append("ERR unknown command '").append(command).append("'\n");
   }

@@ -17,6 +17,8 @@ class ReplicationSource;
 
 namespace fdm::net {
 
+class TextCursor;
+
 /// Where a request's announced payload lines come from (OBSERVEB's n
 /// point lines). The stdin transport pulls further lines from the input
 /// stream; the TCP transport pulls the remaining lines of the request
@@ -25,17 +27,18 @@ namespace fdm::net {
 class LineSource {
  public:
   virtual ~LineSource() = default;
-  /// Next payload line without its '\n'; false at end of input.
-  virtual bool NextLine(std::string* line) = 0;
+  /// Next payload line without its '\n'; false at end of input. The view
+  /// stays valid until the next call.
+  virtual bool NextLine(std::string_view* line) = 0;
 };
 
 /// LineSource over an in-memory '\n'-separated text block (TCP frame
 /// remainders, tests). A trailing '\n' is optional; an empty block has no
-/// lines.
+/// lines. Lines are views into the block: nothing is copied.
 class StringLineSource final : public LineSource {
  public:
   explicit StringLineSource(std::string_view text) : rest_(text) {}
-  bool NextLine(std::string* line) override;
+  bool NextLine(std::string_view* line) override;
 
   /// Unconsumed text (the transport resumes parsing requests here).
   std::string_view rest() const { return rest_; }
@@ -48,10 +51,11 @@ class StringLineSource final : public LineSource {
 class StreamLineSource final : public LineSource {
  public:
   explicit StreamLineSource(std::istream& in) : in_(in) {}
-  bool NextLine(std::string* line) override;
+  bool NextLine(std::string_view* line) override;
 
  private:
   std::istream& in_;
+  std::string line_;  // reused by every NextLine
 };
 
 /// What the transport should do after writing the reply.
@@ -114,26 +118,23 @@ class RequestDispatcher {
   RequestDispatcher& operator=(const RequestDispatcher&) = delete;
   ~RequestDispatcher();
 
-  RequestOutcome HandleRequest(const std::string& line, LineSource& payload,
+  RequestOutcome HandleRequest(std::string_view line, LineSource& payload,
                                std::string* out);
 
-  RequestInfo Classify(const std::string& line) const;
+  RequestInfo Classify(std::string_view line) const;
 
   bool follower() const { return replicas_ != nullptr; }
 
  private:
-  RequestOutcome HandlePrimary(const std::string& command,
-                               std::istringstream& in, LineSource& payload,
-                               std::string* out);
-  RequestOutcome HandleFollower(const std::string& command,
-                                std::istringstream& in, LineSource& payload,
-                                std::string* out);
+  RequestOutcome HandlePrimary(std::string_view command, TextCursor& in,
+                               LineSource& payload, std::string* out);
+  RequestOutcome HandleFollower(std::string_view command, TextCursor& in,
+                                LineSource& payload, std::string* out);
   /// METRICS handling shared by both roles; false when `command` differs.
-  bool HandleMetricsVerb(const std::string& command, std::istringstream& in,
+  bool HandleMetricsVerb(std::string_view command, TextCursor& in,
                          std::string* out);
-  void HandleReplicationVerb(const std::string& command,
-                             const std::string& name, std::istringstream& in,
-                             std::string* out);
+  void HandleReplicationVerb(std::string_view command, const std::string& name,
+                             TextCursor& in, std::string* out);
 
   SessionManager* const sessions_ = nullptr;   // primary mode
   ReplicaManager* const replicas_ = nullptr;   // follower mode

@@ -55,8 +55,12 @@ NetCounters& Counters() {
 struct Conn {
   int fd = -1;
   size_t loop = 0;
-  std::string in;          // raw bytes not yet parsed into a frame
-  std::string frame_rest;  // requests of the current frame not yet run
+  // Raw bytes read; [0, frame_end) is the frame being run (header
+  // included), of which [frame_pos, frame_end) holds requests not yet run.
+  // Requests are parsed in place: the frame leaves `in` only once done.
+  std::string in;
+  size_t frame_pos = 0;
+  size_t frame_end = 0;
   std::string out;         // reply bytes not yet written
   bool busy = false;       // offloaded cold SOLVE in flight
   bool want_out = false;   // EPOLLOUT currently armed
@@ -182,7 +186,11 @@ void TcpServer::Impl::ReadConn(EventLoop& loop,
 void TcpServer::Impl::Drive(EventLoop& loop,
                             const std::shared_ptr<Conn>& conn) {
   while (!conn->busy && !conn->closing && !conn->closed) {
-    if (conn->frame_rest.empty()) {
+    if (conn->frame_pos == conn->frame_end) {
+      // The current frame is done (or there is none): drop it and parse
+      // the next one.
+      conn->in.erase(0, conn->frame_end);
+      conn->frame_pos = conn->frame_end = 0;
       std::string_view payload;
       size_t consumed = 0;
       const FrameParse parsed = ParseFrame(conn->in, &payload, &consumed);
@@ -192,56 +200,56 @@ void TcpServer::Impl::Drive(EventLoop& loop,
         CloseConn(loop, conn);
         return;
       }
-      conn->frame_rest.assign(payload);
-      conn->in.erase(0, consumed);
-      continue;  // empty frame: loop back and parse the next one
+      conn->frame_pos = kFrameHeaderBytes;
+      conn->frame_end = consumed;
+      continue;  // an empty frame loops back and parses the next one
     }
-    // Pop the request's command line off the frame.
-    const size_t nl = conn->frame_rest.find('\n');
-    std::string line;
-    std::string rest;
-    if (nl == std::string::npos) {
-      line = std::move(conn->frame_rest);
-    } else {
-      line = conn->frame_rest.substr(0, nl);
-      rest = conn->frame_rest.substr(nl + 1);
-    }
-    conn->frame_rest.clear();
+    // Pop the request's command line off the frame. The views below point
+    // into `conn->in`, which nothing appends to until this request is run.
+    const std::string_view frame_rest(conn->in.data() + conn->frame_pos,
+                                      conn->frame_end - conn->frame_pos);
+    const size_t nl = frame_rest.find('\n');
+    const std::string_view line = frame_rest.substr(0, nl);
+    StringLineSource payload_lines(
+        nl == std::string_view::npos ? std::string_view()
+                                     : frame_rest.substr(nl + 1));
+    // Every branch below resumes the frame where the payload source stops.
+    const auto advance = [&] {
+      conn->frame_pos = conn->frame_end - payload_lines.rest().size();
+    };
 
     const RequestInfo info = dispatcher->Classify(line);
     if (info.verb.empty()) {  // blank line: no response frame
-      conn->frame_rest = std::move(rest);
+      advance();
       continue;
     }
-    StringLineSource payload_lines(rest);
     if (!info.session.empty() &&
         !admission.AdmitSessionRequest(info.session)) {
       // Shed, but stay in framing: the request's announced payload lines
       // are part of this frame and must be consumed with it.
-      std::string discard;
+      std::string_view discard;
       for (int64_t i = 0;
            i < info.payload_lines && payload_lines.NextLine(&discard); ++i) {
       }
       AppendFrame("ERR shed session '" + info.session +
                       "' over rate limit\n",
                   &conn->out);
-      conn->frame_rest.assign(payload_lines.rest());
+      advance();
       continue;
     }
     if (info.cold_solve) {
+      advance();
       if (!admission.TryEnterColdSolve()) {
         AppendFrame("ERR shed cold solve capacity\n", &conn->out);
-        conn->frame_rest.assign(payload_lines.rest());
         continue;
       }
       // Admitted: run it on the solve pool. SOLVE announces no payload
       // lines, so the whole remainder of the frame is later requests —
       // they wait until the completion lands (FIFO per connection).
       conn->busy = true;
-      conn->frame_rest = std::move(rest);
       {
         std::lock_guard<std::mutex> lock(solve_mu);
-        solve_queue.push_back(SolveTask{conn, std::move(line)});
+        solve_queue.push_back(SolveTask{conn, std::string(line)});
       }
       solve_cv.notify_one();
       break;
@@ -250,7 +258,7 @@ void TcpServer::Impl::Drive(EventLoop& loop,
     const RequestOutcome outcome =
         dispatcher->HandleRequest(line, payload_lines, &reply);
     if (!reply.empty()) AppendFrame(reply, &conn->out);
-    conn->frame_rest.assign(payload_lines.rest());
+    advance();
     if (outcome == RequestOutcome::kQuit) {
       conn->closing = true;  // flush the reply, then close
       break;

@@ -2,7 +2,8 @@
 // (src/net/dispatch.h): framing invariants under malformed, truncated,
 // and pipelined input; byte-identical replies between the stdin and TCP
 // transports; regression tests for the protocol-hardening fixes (checked
-// --metrics-dump parse, non-finite coordinate rejection, trailing-garbage
+// --metrics-dump parse, non-finite coordinate rejection, malformed last
+// coordinate rejection, trailing-garbage
 // rejection on no-payload verbs, out-of-range group rejection before the
 // WAL); and reopening a session directory written before thread counts
 // left the spec and the snapshot.
@@ -281,6 +282,62 @@ TEST_F(ServeProtocolTest, NonFiniteBatchLineIsRejectedAndDrained) {
   // Whole batch rejected, remaining payload drained, LIST still a command.
   EXPECT_EQ(out.rfind("ERR OBSERVEB batch line 1 requires", 0), 0u) << out;
   EXPECT_NE(out.find("OK s\n"), std::string::npos) << out;
+  auto stats = manager->Stats("s");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->observed, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: a malformed last coordinate (`3e`, `-.`, `5e+`, `1e400`) used
+// to be dropped silently — `>>` latches eofbit along with failbit on a
+// token that runs to end of line, which the parser read as a clean end —
+// so the half-parsed point was accepted and written to the WAL. The token
+// now rejects the request, over both transports, and nothing is applied.
+// ---------------------------------------------------------------------------
+
+const char kMalformedTailScript[] =
+    "OBSERVE s 1 0 1.0 2.0 3e\n"
+    "OBSERVE s 2 0 1.0 2.0 1e400\n"
+    "OBSERVEB s 2\n3 0 1.0 2.0\n4 1 3.0 -.\n"
+    "OBSERVEB s 2\n5 0 1.0 2.0 5e+\n6 1 3.0 4.0\n"
+    "LIST\n";
+
+const char kMalformedTailReplies[] =
+    "ERR OBSERVE requires numeric coordinates\n"
+    "ERR OBSERVE requires numeric coordinates\n"
+    "ERR OBSERVEB batch line 1 requires numeric coordinates\n"
+    "ERR OBSERVEB batch line 0 requires numeric coordinates\n"
+    "OK s\n";
+
+TEST_F(ServeProtocolTest, MalformedLastCoordinateIsRejectedOverStdin) {
+  const Dataset ds = TestData();
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  EXPECT_EQ(RunStdin(dispatcher, kMalformedTailScript), kMalformedTailReplies);
+  auto stats = manager->Stats("s");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->observed, 0);
+}
+
+TEST_F(ServeProtocolTest, MalformedLastCoordinateIsRejectedOverTcp) {
+  const Dataset ds = TestData();
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Send(kMalformedTailScript).ok());
+  std::string replies;
+  for (int i = 0; i < 5; ++i) {
+    auto reply = client->Recv();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    replies += *reply;
+  }
+  EXPECT_EQ(replies, kMalformedTailReplies);
+  (*server)->Stop();
   auto stats = manager->Stats("s");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->observed, 0);

@@ -396,5 +396,139 @@ TEST(SnapshotTest, AdaptiveRestoreRejectsPendingCountMismatch) {
   EXPECT_FALSE(restore(AdaptiveSnapshot(true, {a, b})).ok());
 }
 
+// --- Restore sizes nothing from unchecked header values. A well-checksummed
+// snapshot whose k or dim is absurd must come back as an error, not as a
+// std::length_error or std::bad_alloc from a reservation sized by it.
+
+constexpr int32_t kHugeK = std::numeric_limits<int32_t>::max();  // 2^31 - 1
+constexpr uint64_t kHugeDim = uint64_t{1} << 62;
+
+/// An empty point buffer in `SerializePointBuffer`'s layout.
+void WriteEmptyBuffer(SnapshotWriter& writer, uint64_t dim) {
+  writer.WriteU64(dim);
+  writer.WriteU64(0);  // ids
+  writer.WriteU64(0);  // groups
+  writer.WriteU64(0);  // coords
+}
+
+/// `StreamingDm::Snapshot`'s field order over the hand ladder, every rung
+/// empty.
+void WriteStreamingDm(SnapshotWriter& writer, int32_t k, uint64_t dim) {
+  const auto ladder = GuessLadder::Create(kHandDMin, kHandDMax, kHandEpsilon);
+  ASSERT_TRUE(ladder.ok());
+  writer.WriteString(StreamingDm::kSnapshotTag);
+  writer.WriteI32(k);
+  writer.WriteU64(dim);
+  writer.WriteU8(static_cast<uint8_t>(MetricKind::kEuclidean));
+  writer.WriteDouble(kHandDMin);
+  writer.WriteDouble(kHandDMax);
+  writer.WriteDouble(kHandEpsilon);
+  writer.WriteI32(1);  // retired thread slots
+  writer.WriteI32(1);
+  writer.WriteI64(0);  // observed
+  writer.WriteU64(0);  // state_version
+  writer.WriteU64(ladder->size());
+  for (size_t j = 0; j < ladder->size(); ++j) WriteEmptyBuffer(writer, dim);
+}
+
+std::string StreamingDmSnapshot(int32_t k, uint64_t dim) {
+  SnapshotWriter writer;
+  WriteStreamingDm(writer, k, dim);
+  return writer.Serialize();
+}
+
+/// `SlidingWindow::Snapshot`'s field order: window 4, stride 2, one live
+/// replica, the pristine instance and the replica both StreamingDm.
+std::string SlidingWindowSnapshot(int32_t k, uint64_t dim) {
+  SnapshotWriter writer;
+  writer.WriteString(SlidingWindow<StreamingDm>::kSnapshotTag);
+  writer.WriteI64(4);  // window
+  writer.WriteI64(2);  // stride
+  writer.WriteI64(0);  // position
+  writer.WriteU64(0);  // state_version
+  WriteStreamingDm(writer, k, dim);
+  writer.WriteU64(1);  // replicas
+  writer.WriteI64(0);  // replica start
+  WriteStreamingDm(writer, k, dim);
+  return writer.Serialize();
+}
+
+/// `AdaptiveStreamingDm::Snapshot`'s field order with one empty rung.
+std::string AdaptiveShapeSnapshot(int32_t k, uint64_t dim) {
+  SnapshotWriter writer;
+  writer.WriteString(AdaptiveStreamingDm::kSnapshotTag);
+  writer.WriteI32(k);
+  writer.WriteU64(dim);
+  writer.WriteU8(static_cast<uint8_t>(MetricKind::kEuclidean));
+  writer.WriteDouble(kHandEpsilon);
+  writer.WriteU64(8);  // max_rungs
+  writer.WriteI32(1);  // retired thread slot
+  writer.WriteI64(0);  // observed
+  writer.WriteU64(0);  // state_version
+  writer.WriteBool(false);  // no pending point
+  WriteEmptyBuffer(writer, dim);
+  writer.WriteU64(1);  // rungs
+  writer.WriteDouble(kHandDMin);
+  WriteEmptyBuffer(writer, dim);
+  return writer.Serialize();
+}
+
+template <typename Algo>
+Status RestoreOnly(const std::string& framed) {
+  auto reader = SnapshotReader::FromBytes(framed);
+  if (!reader.ok()) return reader.status();
+  return Algo::Restore(*reader).status();
+}
+
+template <typename Algo>
+void ExpectImplausibleShapeRejected(
+    std::string (*snapshot)(int32_t k, uint64_t dim)) {
+  // The hand-built layout is right: a plausible shape restores.
+  EXPECT_TRUE(RestoreOnly<Algo>(snapshot(2, kHandDim)).ok());
+  const Status huge_k = RestoreOnly<Algo>(snapshot(kHugeK, kHandDim));
+  EXPECT_FALSE(huge_k.ok());
+  EXPECT_NE(huge_k.ToString().find("k must be"), std::string::npos)
+      << huge_k.ToString();
+  const Status huge_dim = RestoreOnly<Algo>(snapshot(2, kHugeDim));
+  EXPECT_FALSE(huge_dim.ok());
+  EXPECT_NE(huge_dim.ToString().find("dim must be"), std::string::npos)
+      << huge_dim.ToString();
+}
+
+TEST(SnapshotTest, StreamingDmRestoreRejectsImplausibleShape) {
+  ExpectImplausibleShapeRejected<StreamingDm>(StreamingDmSnapshot);
+}
+
+TEST(SnapshotTest, SlidingWindowRestoreRejectsImplausibleShape) {
+  ExpectImplausibleShapeRejected<SlidingWindow<StreamingDm>>(
+      SlidingWindowSnapshot);
+}
+
+TEST(SnapshotTest, AdaptiveRestoreRejectsImplausibleShape) {
+  ExpectImplausibleShapeRejected<AdaptiveStreamingDm>(AdaptiveShapeSnapshot);
+}
+
+TEST(SnapshotTest, StreamingDmRestoreRejectsRungCountPastPayload) {
+  // A rung count no payload could hold is refused before the ladder is
+  // rebuilt or any candidate is made.
+  SnapshotWriter writer;
+  writer.WriteString(StreamingDm::kSnapshotTag);
+  writer.WriteI32(2);
+  writer.WriteU64(kHandDim);
+  writer.WriteU8(static_cast<uint8_t>(MetricKind::kEuclidean));
+  writer.WriteDouble(kHandDMin);
+  writer.WriteDouble(kHandDMax);
+  writer.WriteDouble(kHandEpsilon);
+  writer.WriteI32(1);
+  writer.WriteI32(1);
+  writer.WriteI64(0);
+  writer.WriteU64(0);
+  writer.WriteU64(uint64_t{1} << 40);  // rungs
+  const Status status = RestoreOnly<StreamingDm>(writer.Serialize());
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("bytes left"), std::string::npos)
+      << status.ToString();
+}
+
 }  // namespace
 }  // namespace fdm
