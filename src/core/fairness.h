@@ -26,7 +26,8 @@ struct FairnessConstraint {
     return std::accumulate(quotas.begin(), quotas.end(), 0);
   }
 
-  /// OK iff every quota is positive and there is at least one group.
+  /// OK iff every quota is positive, there is at least one group, and the
+  /// quotas sum to at most INT_MAX (so `TotalK` is exact).
   Status Validate() const;
 
   /// OK iff the constraint is satisfiable on a dataset with the given

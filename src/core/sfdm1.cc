@@ -59,7 +59,10 @@ Result<Sfdm1> Sfdm1::Create(const FairnessConstraint& constraint, size_t dim,
         "SFDM1 requires exactly 2 groups, got " +
         std::to_string(constraint.num_groups()) + "; use SFDM2");
   }
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
+  if (Status shape = ValidateCandidateShape(constraint.TotalK(), dim);
+      !shape.ok()) {
+    return shape;
+  }
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();

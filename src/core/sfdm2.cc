@@ -61,7 +61,10 @@ Result<Sfdm2> Sfdm2::Create(const FairnessConstraint& constraint, size_t dim,
                             MetricKind metric,
                             const StreamingOptions& options) {
   if (Status s = constraint.Validate(); !s.ok()) return s;
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
+  if (Status shape = ValidateCandidateShape(constraint.TotalK(), dim);
+      !shape.ok()) {
+    return shape;
+  }
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();

@@ -101,10 +101,12 @@ Result<ReplicaSession> ReplicaSession::Bootstrap(
   session.spec_ = manifest->spec;
   session.NoteManifest(*manifest);
   // The spec decides whether the follower mirrors the duplicate guard —
-  // same authority rule as the primary's Open.
-  if (auto parsed = SinkSpec::Parse(session.spec_); parsed.ok()) {
-    session.dedup_enabled_ = parsed->dedup;
-  }
+  // same authority rule as the primary's Open — and the shape every
+  // applied record must have.
+  auto parsed = SinkSpec::Parse(session.spec_);
+  if (!parsed.ok()) return parsed.status();
+  session.dedup_enabled_ = parsed->dedup;
+  session.shape_ = parsed->Shape();
 
   auto restored = session.BootstrapFromSnapshot(*manifest, /*min_seq=*/0);
   if (!restored.ok()) return restored.status();
@@ -282,7 +284,8 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
   // crash-recovery replay takes), so a follower's apply is bit-identical
   // to recovery by construction. `applied_seq_` advances only when a
   // batch has actually reached the sink.
-  WalBatchApplier applier(*sink_, options_.apply_batch, dedup_.get());
+  WalBatchApplier applier(*sink_, shape_, options_.apply_batch,
+                          dedup_.get());
   bool budget_hit = false;
 
   auto flush = [&]() {
@@ -326,8 +329,15 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
         // the shipped bytes are bad. Refetch (bounded by the sync loop).
         return ApplyOutcome::kStaleManifest;
       }
-      if (!applier.Add(record)) {
-        return Status::IoError("WAL record dimension changed mid-stream");
+      if (Status invalid = applier.Add(record); !invalid.ok()) {
+        // A checksum-valid record the sink would abort on: apply what
+        // precedes it, then stop here on every poll until an operator
+        // steps in.
+        flush();
+        return Status::IoError("invalid WAL record seq " +
+                               std::to_string(record.seq) + " in " +
+                               WalSegmentFileName(seg.first_seq) + ": " +
+                               invalid.message());
       }
       if (static_cast<size_t>(*applied) + applier.pending() >= budget) {
         budget_hit = true;

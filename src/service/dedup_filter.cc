@@ -182,12 +182,12 @@ void DedupFilter::Serialize(SnapshotWriter& writer) const {
   writer.WriteU64(bucket_mask_ + 1);
   writer.WriteU64(grows_);
   writer.WriteU64(false_positives_);
-  std::vector<int64_t> present;
-  present.reserve(size_);
+  // The bytes of `WriteI64Span` over the present ids, written straight
+  // from the table: no id list as large as the set is ever built.
+  writer.WriteU64(size_);
   for (int64_t id : ids_) {
-    if (id != kEmptyId) present.push_back(id);
+    if (id != kEmptyId) writer.WriteI64(id);
   }
-  writer.WriteI64Span(present);
 }
 
 Result<DedupFilter> DedupFilter::Deserialize(SnapshotReader& reader) {

@@ -1,7 +1,6 @@
 #include "service/durable_session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -237,8 +236,7 @@ Result<DurableSession> DurableSession::Create(std::string dir,
   session.sink_ = std::move(sink.value());
   session.wal_ =
       std::make_unique<WriteAheadLog>(std::move(wal.value()));
-  session.dim_ = parsed->dim;
-  session.groups_ = parsed->GroupCount();
+  session.shape_ = parsed->Shape();
   if (parsed->dedup) session.dedup_ = std::make_unique<DedupFilter>();
   return session;
 }
@@ -263,16 +261,19 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   std::unique_ptr<StreamSink> sink;
   std::unique_ptr<DedupFilter> dedup;
   int64_t snapshot_seq = 0;
+  int64_t snapshot_payload_bytes = 0;
   int64_t duplicates_rejected = 0;
   SessionIngestCounters counters;
   auto snapshots = ListSessionSnapshots(SessionSnapDir(dir));
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     auto reader = SnapshotReader::FromFile(it->second);
     if (!reader.ok()) continue;
+    const int64_t payload_bytes = static_cast<int64_t>(reader->Remaining());
     auto restored = RestoreSessionSnapshot(*reader, spec, it->first);
     if (!restored.ok()) continue;
     sink = std::move(restored.value());
     snapshot_seq = it->first;
+    snapshot_payload_bytes = payload_bytes;
     dedup = ReadSessionFooters(*reader, &counters, &duplicates_rejected);
     break;
   }
@@ -300,8 +301,8 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   // so the cumulative count comes back exact. The same pass rebuilds the
   // dedup filter's tail membership.
   int64_t replay_mutations = 0;
-  auto replayed =
-      wal->Replay(snapshot_seq, *sink, &replay_mutations, dedup.get());
+  auto replayed = wal->Replay(snapshot_seq, *sink, parsed->Shape(),
+                              &replay_mutations, dedup.get());
   if (!replayed.ok()) return replayed.status();
   counters.restores += 1;
   counters.replayed_records += *replayed;
@@ -314,39 +315,13 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   DurableSession session(std::move(dir), std::move(spec), options);
   session.sink_ = std::move(sink);
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
-  session.dim_ = parsed->dim;
-  session.groups_ = parsed->GroupCount();
+  session.shape_ = parsed->Shape();
   session.snapshot_seq_ = snapshot_seq;
+  session.snapshot_payload_bytes_ = snapshot_payload_bytes;
   session.counters_ = counters;
   session.dedup_ = std::move(dedup);
   session.duplicates_rejected_ = duplicates_rejected;
   return session;
-}
-
-Status DurableSession::ValidatePoints(
-    std::span<const StreamPoint> batch) const {
-  for (const StreamPoint& point : batch) {
-    if (point.coords.size() != dim_) {
-      return Status::InvalidArgument(
-          "point dimension " + std::to_string(point.coords.size()) +
-          " does not match session dim " + std::to_string(dim_));
-    }
-    if (groups_ > 0 &&
-        (point.group < 0 || static_cast<size_t>(point.group) >= groups_)) {
-      return Status::InvalidArgument(
-          "point group " + std::to_string(point.group) +
-          " out of range [0, " + std::to_string(groups_) + ")");
-    }
-    // `operator>>` parses `inf`/`nan` on some standard libraries, and a
-    // persisted non-finite point would poison every later distance
-    // comparison and come back at every recovery replay.
-    for (const double c : point.coords) {
-      if (!std::isfinite(c)) {
-        return Status::InvalidArgument("point coordinates must be finite");
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 Status DurableSession::Observe(const StreamPoint& point) {
@@ -362,7 +337,7 @@ Status DurableSession::ObserveBatch(std::span<const StreamPoint> batch) {
 Result<IngestOutcome> DurableSession::Ingest(
     std::span<const StreamPoint> batch, bool as_batch) {
   if (!broken_.ok()) return broken_;
-  if (Status s = ValidatePoints(batch); !s.ok()) return s;
+  if (Status s = ValidatePoints(batch, shape_); !s.ok()) return s;
 
   IngestOutcome outcome;
   // Probe the duplicate guard BEFORE the WAL append: an already-seen id is
@@ -434,25 +409,24 @@ Result<IngestOutcome> DurableSession::Ingest(
     KeptCounter().Add(mutations);
     BatchSizeHist().Record(fresh.size());
   }
-  if (Status s = MaybeAutoSnapshot(); !s.ok()) return s;
+  if (Status s = MaybeCheckpoint(); !s.ok()) return s;
   return outcome;
 }
 
-Status DurableSession::MaybeAutoSnapshot() {
-  if (options_.snapshot_every == 0) return Status::Ok();
-  if (UnsnapshottedRecords() <
-      static_cast<int64_t>(options_.snapshot_every)) {
-    return Status::Ok();
-  }
+Status DurableSession::MaybeCheckpoint() {
+  const int64_t wal_bytes =
+      UnsnapshottedRecords() * static_cast<int64_t>(WalRecordBytes(shape_.dim));
+  if (wal_bytes < CheckpointWalBytes()) return Status::Ok();
   return TakeSnapshot();
 }
 
 Status DurableSession::PublishReplicationState() {
-  SnapshotWriter writer;
-  writer.WriteString(kReplAdvertTag);
-  writer.WriteI64(sink_->ObservedElements());
-  writer.WriteU64(sink_->StateVersion());
-  return writer.WriteFile(SessionReplAdvertPath(dir_));
+  auto writer = SnapshotWriter::ToFile(SessionReplAdvertPath(dir_));
+  if (!writer.ok()) return writer.status();
+  writer->WriteString(kReplAdvertTag);
+  writer->WriteI64(sink_->ObservedElements());
+  writer->WriteU64(sink_->StateVersion());
+  return writer->Commit();
 }
 
 Status DurableSession::Sync() {
@@ -472,11 +446,12 @@ Status DurableSession::TakeSnapshot() {
   if (seq == snapshot_seq_) return Status::Ok();  // up to date (or empty)
 
   Timer snap_timer;
-  SnapshotWriter writer;
-  writer.WriteString(kSessionTag);
-  writer.WriteString(spec_);
-  writer.WriteI64(seq);
-  if (Status s = sink_->Snapshot(writer); !s.ok()) return s;
+  auto writer = SnapshotWriter::ToFile(SnapshotPath(seq));
+  if (!writer.ok()) return writer.status();
+  writer->WriteString(kSessionTag);
+  writer->WriteString(spec_);
+  writer->WriteI64(seq);
+  if (Status s = sink_->Snapshot(*writer); !s.ok()) return s;
   // Stats footer: written after the sink state so `RestoreSessionSnapshot`
   // (and the replica bootstrap, which shares it) can stop at the sink and
   // ignore the tail. The footer counts this snapshot as taken — a restore
@@ -484,13 +459,14 @@ Status DurableSession::TakeSnapshot() {
   SessionIngestCounters footer = counters_;
   footer.snapshots_taken += 1;
   footer.snapshot_write_ms_total += snap_timer.ElapsedSeconds() * 1000.0;
-  WriteStatsFooter(writer, footer);
+  WriteStatsFooter(*writer, footer);
   if (dedup_ != nullptr) {
-    WriteDedupFooter(writer, duplicates_rejected_, *dedup_);
+    WriteDedupFooter(*writer, duplicates_rejected_, *dedup_);
   }
-  const size_t payload_bytes = writer.PayloadBytes();
-  if (Status s = writer.WriteFile(SnapshotPath(seq)); !s.ok()) return s;
+  const size_t payload_bytes = writer->PayloadBytes();
+  if (Status s = writer->Commit(); !s.ok()) return s;
   snapshot_seq_ = seq;
+  snapshot_payload_bytes_ = static_cast<int64_t>(payload_bytes);
   counters_.snapshots_taken += 1;
   counters_.snapshot_write_ms_total += snap_timer.ElapsedSeconds() * 1000.0;
   SnapshotBytesCounter().Add(payload_bytes);

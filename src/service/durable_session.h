@@ -1,6 +1,7 @@
 #ifndef FDM_SERVICE_DURABLE_SESSION_H_
 #define FDM_SERVICE_DURABLE_SESSION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -11,6 +12,7 @@
 #include "core/solve_cache.h"
 #include "core/stream_sink.h"
 #include "service/dedup_filter.h"
+#include "service/sink_spec.h"
 #include "service/wal.h"
 #include "util/status.h"
 
@@ -77,8 +79,9 @@ struct SessionIngestCounters {
   int64_t ingest_batches = 0;
   int64_t snapshots_taken = 0;
   /// Wall time spent writing snapshots, milliseconds. The persisted value
-  /// excludes the final file write of the snapshot carrying it (the footer
-  /// is serialized before the write); the in-memory value includes it.
+  /// excludes the footers and the commit (fsync, rename) of the snapshot
+  /// carrying it, which come after the footer is written; the in-memory
+  /// value includes them.
   double snapshot_write_ms_total = 0.0;
   /// Times this session was restored by `Open`.
   int64_t restores = 0;
@@ -98,13 +101,21 @@ struct IngestOutcome {
 /// Durability knobs of one session.
 struct DurableSessionOptions {
   WalOptions wal;
-  /// Take a snapshot automatically after this many new records (0 = only
-  /// explicit/background snapshots).
-  size_t snapshot_every = 0;
   /// Snapshots retained on disk (older ones are pruned after each new one;
   /// at least 1).
   size_t keep_snapshots = 2;
 };
+
+/// The checkpoint rule: after an ingest, a session snapshots once the WAL
+/// bytes logged since its newest snapshot (`WalRecordBytes(dim)` per
+/// record) reach `kCheckpointWalRatio` × max(that snapshot's payload
+/// bytes, `kCheckpointFloorBytes`). The sinks keep O(k·log∆/ε) points, so
+/// the snapshot stays small while the log grows with the stream; the rule
+/// bounds crash-recovery replay to about four snapshots' worth of WAL
+/// (plus at most one segment `Replay` skips through) and keeps the bytes
+/// snapshots write at about a quarter of the bytes the WAL writes.
+inline constexpr int64_t kCheckpointWalRatio = 4;
+inline constexpr int64_t kCheckpointFloorBytes = int64_t{1} << 20;
 
 /// One durable streaming session: a sink plus its write-ahead log and
 /// snapshot chain, under one directory:
@@ -141,17 +152,18 @@ class DurableSession {
   /// Opens an existing session: restores the newest loadable snapshot
   /// (falling back to older snapshots, then to a fresh sink, on checksum
   /// failure) and replays the WAL tail after it through `ObserveBatch`.
+  /// A checksum-valid WAL record that does not fit the spec's shape fails
+  /// the open with an error naming its segment and seq.
   static Result<DurableSession> Open(std::string dir,
                                      DurableSessionOptions options = {});
 
   /// True iff `dir` holds a session (its SPEC file exists).
   static bool Exists(const std::string& dir);
 
-  /// WAL-append then apply. May trigger an automatic snapshot
-  /// (`snapshot_every`). Validates every point once, before the dedup
-  /// probe and the WAL append, and rejects the whole call if any point
-  /// fails: its dimension must match the spec, its coordinates must be
-  /// finite, and on the fair kinds its group must lie in [0, m). A
+  /// WAL-append then apply, then snapshot if the checkpoint rule says so
+  /// (see `kCheckpointWalRatio`). Validates every point once
+  /// (`ValidatePoints` against the spec's shape), before the dedup probe
+  /// and the WAL append, and rejects the whole call if any point fails. A
   /// malformed point must never be persisted, or every future recovery
   /// would replay it (the sinks only DCHECK the dimension and abort on an
   /// out-of-range group).
@@ -243,6 +255,12 @@ class DurableSession {
   int64_t UnsnapshottedRecords() const {
     return sink_->ObservedElements() - snapshot_seq_;
   }
+  /// WAL bytes after which the checkpoint rule snapshots: the ratio times
+  /// the newest snapshot's payload bytes, or the floor.
+  int64_t CheckpointWalBytes() const {
+    return kCheckpointWalRatio *
+           std::max(snapshot_payload_bytes_, kCheckpointFloorBytes);
+  }
   StreamSink& sink() { return *sink_; }
   const StreamSink& sink() const { return *sink_; }
 
@@ -254,12 +272,11 @@ class DurableSession {
         options_(options),
         solve_cache_(std::make_shared<SolveCache>()) {}
 
-  Status MaybeAutoSnapshot();
+  Status MaybeCheckpoint();
   /// Deletes snapshots beyond `keep_snapshots`; returns the seq of the
   /// oldest snapshot still on disk (`snapshot_seq_` if none).
   Result<int64_t> PruneSnapshots();
   std::string SnapshotPath(int64_t seq) const;
-  Status ValidatePoints(std::span<const StreamPoint> batch) const;
 
   std::string dir_;
   std::string spec_;
@@ -270,9 +287,9 @@ class DurableSession {
   int64_t duplicates_rejected_ = 0;
   uint64_t probe_sample_ = 0;  // 1-in-64 sampling of the probe histogram
   std::shared_ptr<SolveCache> solve_cache_;  // never null
-  size_t dim_ = 0;  // from the spec; every ingested point must match
-  size_t groups_ = 0;  // SinkSpec::GroupCount(); 0 = any group
+  PointShape shape_;  // from the spec; every ingested point must match
   int64_t snapshot_seq_ = 0;
+  int64_t snapshot_payload_bytes_ = 0;  // of the newest snapshot (0 = none)
   SessionIngestCounters counters_;
   Status broken_;  // latched WAL-append failure; session needs a reopen
 };

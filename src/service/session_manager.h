@@ -27,7 +27,7 @@ struct SessionManagerOptions {
   /// idle session is snapshotted and spilled to disk (it reloads lazily on
   /// the next touch). 0 = unlimited.
   size_t max_resident = 0;
-  /// Per-session durability knobs (auto-snapshot cadence, WAL batching),
+  /// Per-session durability knobs (WAL batching, snapshots retained),
   /// applied to every session the manager builds or recovers.
   DurableSessionOptions session;
   /// Period of the background snapshot thread, which persists every

@@ -1,6 +1,7 @@
 #include "service/sink_spec.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -44,6 +45,33 @@ Result<double> ParseDouble(const std::string& key, const std::string& value) {
 }
 
 }  // namespace
+
+Status ValidatePoints(std::span<const StreamPoint> points,
+                      const PointShape& shape) {
+  for (const StreamPoint& point : points) {
+    if (point.coords.size() != shape.dim) {
+      return Status::InvalidArgument(
+          "point dimension " + std::to_string(point.coords.size()) +
+          " does not match session dim " + std::to_string(shape.dim));
+    }
+    const bool group_in_range =
+        shape.groups == 0 ||
+        (point.group >= 0 && static_cast<size_t>(point.group) < shape.groups);
+    if (!group_in_range) {
+      return Status::InvalidArgument(
+          "point group " + std::to_string(point.group) +
+          " out of range [0, " + std::to_string(shape.groups) + ")");
+    }
+    // A persisted non-finite point would poison every later distance
+    // comparison and come back at every recovery replay.
+    for (const double c : point.coords) {
+      if (!std::isfinite(c)) {
+        return Status::InvalidArgument("point coordinates must be finite");
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 Result<SinkSpec> SinkSpec::Parse(std::string_view text) {
   SinkSpec spec;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +13,22 @@
 #include "util/status.h"
 
 namespace fdm {
+
+/// The shape every point of a session must have: `dim` coordinates and,
+/// when `groups > 0` (the fair kinds), a group in [0, groups).
+struct PointShape {
+  size_t dim = 0;
+  size_t groups = 0;  // 0 = any group
+};
+
+/// Ok iff every point has `shape`'s dimension, finite coordinates and a
+/// group in range; otherwise `InvalidArgument` naming the first fault.
+/// The one point check of the service layer: ingest runs it before a point
+/// reaches the WAL, and replay (crash recovery and follower tails) before
+/// a logged record reaches a sink, whose `FDM_CHECK`s are internal
+/// invariants, not input validation.
+Status ValidatePoints(std::span<const StreamPoint> points,
+                      const PointShape& shape);
 
 /// A textual, dataset-free description of a streaming sink — the unit of
 /// configuration the service layer stores per session. Unlike the harness
@@ -77,6 +94,9 @@ struct SinkSpec {
   size_t GroupCount() const {
     return algo == "sfdm1" || algo == "sfdm2" ? quotas.size() : 0;
   }
+
+  /// The shape of the points a sink built from this spec accepts.
+  PointShape Shape() const { return {dim, GroupCount()}; }
 
   /// Builds a fresh sink. Fails if required keys for the chosen algorithm
   /// are missing or inconsistent.

@@ -385,9 +385,8 @@ Status WriteAheadLog::FlushBuffer() {
 Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
   const int64_t seq = last_seq_ + 1;
   const uint32_t dim = static_cast<uint32_t>(point.coords.size());
-  const uint32_t payload_len =
-      sizeof(uint64_t) + sizeof(int64_t) + sizeof(int32_t) + sizeof(uint32_t) +
-      dim * sizeof(double);
+  const uint32_t payload_len = static_cast<uint32_t>(
+      WalRecordBytes(dim) - kRecordHeaderBytes - kRecordChecksumBytes);
 
   const size_t payload_begin = buffer_.size() + kRecordHeaderBytes;
   AppendScalar<uint32_t>(buffer_, payload_len);
@@ -403,8 +402,7 @@ Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
   last_seq_ = seq;
   ++unsynced_records_;
   WalRecordsCounter().Inc();
-  WalBytesCounter().Add(kRecordHeaderBytes + payload_len +
-                        kRecordChecksumBytes);
+  WalBytesCounter().Add(WalRecordBytes(dim));
 
   if (buffer_.size() >= kFlushThresholdBytes) {
     if (Status s = FlushBuffer(); !s.ok()) return s;
@@ -460,6 +458,7 @@ std::vector<std::string> WriteAheadLog::SegmentPaths() const {
 }
 
 Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
+                                      const PointShape& shape,
                                       int64_t* mutations,
                                       DedupFilter* filter) const {
   FDM_CHECK_MSG(buffer_.empty() || buffer_.size() == sizeof(kSegmentMagic),
@@ -472,7 +471,7 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
   // Batched apply through the shared applier, so rung-parallel sinks
   // replay at batched-ingestion speed — and so recovery and follower
   // tail application share one code path.
-  WalBatchApplier applier(sink, options_.replay_batch, filter);
+  WalBatchApplier applier(sink, shape, options_.replay_batch, filter);
 
   for (size_t s = 0; s < segment_first_seqs_.size(); ++s) {
     // A whole segment is skippable when the next segment starts at or
@@ -509,9 +508,10 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
             "WAL sequence gap: expected " + std::to_string(prev_seq + 1) +
             ", found " + std::to_string(record.seq) + " in " + path);
       }
-      if (!applier.Add(record)) {
-        return Status::IoError("WAL record dimension changed mid-log in " +
-                               path);
+      if (Status invalid = applier.Add(record); !invalid.ok()) {
+        return Status::IoError("invalid WAL record seq " +
+                               std::to_string(record.seq) + " in " + path +
+                               ": " + invalid.message());
       }
       prev_seq = record.seq;
       ++replayed;

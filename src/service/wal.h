@@ -10,6 +10,7 @@
 #include "core/stream_sink.h"
 #include "geo/point_buffer.h"
 #include "service/dedup_filter.h"
+#include "service/sink_spec.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -61,6 +62,14 @@ class WalSegmentCursor {
   std::vector<double> coords_;  // per-record scratch behind `record.coords`
 };
 
+/// Bytes one logged point of dimension `dim` occupies in a segment: the
+/// length prefix, seq, id, group, dim, the coordinates and the checksum.
+constexpr size_t WalRecordBytes(size_t dim) {
+  return sizeof(uint32_t) + sizeof(uint64_t) + sizeof(int64_t) +
+         sizeof(int32_t) + sizeof(uint32_t) + dim * sizeof(double) +
+         sizeof(uint64_t);
+}
+
 /// `wal-<first_seq>.log`, zero-padded so lexicographic and numeric order
 /// agree — the one definition of the segment file name, shared by the log
 /// itself and the replication transport.
@@ -80,27 +89,26 @@ class WalBatchApplier {
   /// follower tails reconstruct the duplicate guard exactly: the WAL is
   /// authoritative (records are applied regardless), the filter just
   /// relearns membership alongside.
-  WalBatchApplier(StreamSink& sink, size_t batch_records,
-                  DedupFilter* filter = nullptr)
+  WalBatchApplier(StreamSink& sink, const PointShape& shape,
+                  size_t batch_records, DedupFilter* filter = nullptr)
       : sink_(sink),
+        shape_(shape),
         batch_records_(batch_records == 0 ? 1 : batch_records),
         filter_(filter) {}
 
-  /// Buffers one record (coordinates copied). Returns false when the
-  /// record's dimension disagrees with the buffered batch's.
-  bool Add(const WalRecordView& record) {
+  /// Buffers one record (coordinates copied) after `ValidatePoints`: a
+  /// checksum-valid record that does not fit the session's shape (wrong
+  /// dimension, a non-finite coordinate, a group outside [0, m)) is
+  /// refused with that error instead of reaching the sink.
+  Status Add(const WalRecordView& record) {
+    const StreamPoint point{record.id, record.group, record.coords};
+    if (Status s = ValidatePoints({&point, 1}, shape_); !s.ok()) return s;
     if (filter_ != nullptr) filter_->InsertIfAbsent(record.id);
-    if (dim_ == 0) {
-      dim_ = record.coords.size();
-      coords_.reserve(batch_records_ * dim_);
-    } else if (record.coords.size() != dim_) {
-      return false;
-    }
     coords_.insert(coords_.end(), record.coords.begin(),
                    record.coords.end());
     ids_.push_back(record.id);
     groups_.push_back(record.group);
-    return true;
+    return Status::Ok();
   }
 
   bool ShouldFlush() const { return ids_.size() >= batch_records_; }
@@ -115,7 +123,8 @@ class WalBatchApplier {
     for (size_t i = 0; i < ids_.size(); ++i) {
       points.push_back(StreamPoint{
           ids_[i], groups_[i],
-          std::span<const double>(coords_.data() + i * dim_, dim_)});
+          std::span<const double>(coords_.data() + i * shape_.dim,
+                                  shape_.dim)});
     }
     mutations_ += sink_.ObserveBatch(points);
     const size_t applied = ids_.size();
@@ -133,10 +142,10 @@ class WalBatchApplier {
 
  private:
   StreamSink& sink_;
+  PointShape shape_;
   size_t batch_records_;
   DedupFilter* filter_;
   size_t mutations_ = 0;
-  size_t dim_ = 0;
   std::vector<double> coords_;
   std::vector<int64_t> ids_;
   std::vector<int32_t> groups_;
@@ -217,8 +226,10 @@ class WriteAheadLog {
   /// changed sink state (summed `ObserveBatch` returns). When `filter` is
   /// non-null, replayed ids rebuild the duplicate guard (see
   /// `WalBatchApplier`). The newest segment may end in a torn record
-  /// (crash tail) — replay stops cleanly there.
+  /// (crash tail) — replay stops cleanly there. A record that does not
+  /// fit `shape` is an error naming its segment and seq.
   Result<int64_t> Replay(int64_t after_seq, StreamSink& sink,
+                         const PointShape& shape,
                          int64_t* mutations = nullptr,
                          DedupFilter* filter = nullptr) const;
 

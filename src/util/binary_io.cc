@@ -1,12 +1,13 @@
 #include "util/binary_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+
+#include "util/check.h"
 
 namespace fdm {
 
@@ -20,57 +21,161 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
   return hash;
 }
 
+namespace {
+
+constexpr size_t kSizeOffset = sizeof(SnapshotWriter::kMagic) + sizeof(uint32_t);
+constexpr size_t kHeaderBytes = kSizeOffset + sizeof(uint64_t);
+
+std::string FrameHeader(uint64_t payload_bytes) {
+  std::string header(SnapshotWriter::kMagic, sizeof(SnapshotWriter::kMagic));
+  const uint32_t version = SnapshotWriter::kFormatVersion;
+  header.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  header.append(reinterpret_cast<const char*>(&payload_bytes),
+                sizeof(payload_bytes));
+  return header;
+}
+
+Status WriteAll(int fd, const char* data, size_t len, const std::string& path) {
+  while (len > 0) {
+    const ssize_t n = ::write(fd, data, len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("write failed: " + path + ": " +
+                             std::strerror(errno));
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 std::string SnapshotWriter::Serialize() const {
-  std::string framed;
-  framed.reserve(sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t) +
-                 payload_.size() + sizeof(uint64_t));
-  framed.append(kMagic, sizeof(kMagic));
-  const uint32_t version = kFormatVersion;
-  framed.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  const uint64_t size = payload_.size();
-  framed.append(reinterpret_cast<const char*>(&size), sizeof(size));
-  framed.append(payload_);
-  const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
+  FDM_CHECK_MSG(fd_ < 0 && path_.empty(), "Serialize() on a file writer");
+  std::string framed = FrameHeader(buffer_.size());
+  framed.reserve(kHeaderBytes + buffer_.size() + sizeof(uint64_t));
+  framed.append(buffer_);
+  const uint64_t checksum = Fnv1a64(buffer_.data(), buffer_.size());
   framed.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return framed;
 }
 
-Status SnapshotWriter::WriteFile(const std::string& path) const {
-  const std::string framed = Serialize();
+Result<SnapshotWriter> SnapshotWriter::ToFile(std::string path) {
+  SnapshotWriter writer;
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
+  writer.fd_ = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (writer.fd_ < 0) {
     return Status::IoError("cannot open for write: " + tmp + ": " +
                            std::strerror(errno));
   }
-  size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status error =
-          Status::IoError("write failed: " + tmp + ": " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return error;
-    }
-    written += static_cast<size_t>(n);
+  writer.path_ = std::move(path);
+  writer.buffer_.reserve(kChunkBytes);
+  // The payload size is not known yet; Commit overwrites this placeholder.
+  const std::string header = FrameHeader(0);
+  if (Status s = WriteAll(writer.fd_, header.data(), header.size(), tmp);
+      !s.ok()) {
+    return s;  // the writer's destructor removes the temp file
   }
-  if (::fsync(fd) != 0) {
+  return writer;
+}
+
+SnapshotWriter::SnapshotWriter(SnapshotWriter&& other) noexcept
+    : buffer_(std::move(other.buffer_)),
+      path_(std::move(other.path_)),
+      fd_(other.fd_),
+      flushed_(other.flushed_),
+      checksum_(other.checksum_),
+      error_(std::move(other.error_)) {
+  other.fd_ = -1;
+  other.path_.clear();
+}
+
+SnapshotWriter& SnapshotWriter::operator=(SnapshotWriter&& other) noexcept {
+  if (this != &other) {
+    Abandon();
+    buffer_ = std::move(other.buffer_);
+    path_ = std::move(other.path_);
+    fd_ = other.fd_;
+    flushed_ = other.flushed_;
+    checksum_ = other.checksum_;
+    error_ = std::move(other.error_);
+    other.fd_ = -1;
+    other.path_.clear();
+  }
+  return *this;
+}
+
+SnapshotWriter::~SnapshotWriter() { Abandon(); }
+
+void SnapshotWriter::Abandon() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
+  ::unlink((path_ + ".tmp").c_str());
+}
+
+void SnapshotWriter::WritePayload(const char* data, size_t len) {
+  if (!error_.ok()) return;
+  error_ = WriteAll(fd_, data, len, path_ + ".tmp");
+  checksum_ = Fnv1a64(data, len, checksum_);
+  flushed_ += len;
+}
+
+void SnapshotWriter::Spill(const char* data, size_t len) {
+  const size_t top_up = kChunkBytes - buffer_.size();
+  buffer_.append(data, top_up);
+  WritePayload(buffer_.data(), buffer_.size());
+  buffer_.clear();
+  data += top_up;
+  len -= top_up;
+  if (len >= kChunkBytes) {
+    WritePayload(data, len);
+  } else {
+    buffer_.append(data, len);
+  }
+}
+
+Status SnapshotWriter::Commit() {
+  FDM_CHECK_MSG(fd_ >= 0, "Commit() on an in-memory or finished writer");
+  const std::string tmp = path_ + ".tmp";
+  WritePayload(buffer_.data(), buffer_.size());
+  buffer_.clear();
+  if (!error_.ok()) {
+    Abandon();
+    return error_;
+  }
+  const uint64_t size = flushed_;
+  if (::pwrite(fd_, &size, sizeof(size), kSizeOffset) !=
+      static_cast<ssize_t>(sizeof(size))) {
+    const Status error =
+        Status::IoError("pwrite failed: " + tmp + ": " + std::strerror(errno));
+    Abandon();
+    return error;
+  }
+  if (Status s = WriteAll(fd_, reinterpret_cast<const char*>(&checksum_),
+                          sizeof(checksum_), tmp);
+      !s.ok()) {
+    Abandon();
+    return s;
+  }
+  if (::fsync(fd_) != 0) {
     const Status error =
         Status::IoError("fsync failed: " + tmp + ": " + std::strerror(errno));
-    ::close(fd);
+    Abandon();
+    return error;
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  if (::close(fd) != 0) {
+    const Status error =
+        Status::IoError("close failed: " + tmp + ": " + std::strerror(errno));
     ::unlink(tmp.c_str());
     return error;
   }
-  if (::close(fd) != 0) {
-    return Status::IoError("close failed: " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
     const Status error = Status::IoError("rename failed: " + tmp + " -> " +
-                                         path + ": " + std::strerror(errno));
+                                         path_ + ": " + std::strerror(errno));
     ::unlink(tmp.c_str());  // don't let retries accumulate stale temps
     return error;
   }
@@ -78,10 +183,10 @@ Status SnapshotWriter::WriteFile(const std::string& path) const {
   // (e.g. snapshot-then-prune-WAL) order destructive steps after this
   // return, which is only sound if the new directory entry survives a
   // power failure.
-  const size_t slash = path.find_last_of('/');
+  const size_t slash = path_.find_last_of('/');
   const std::string parent = slash == std::string::npos
                                  ? std::string(".")
-                                 : path.substr(0, slash);
+                                 : path_.substr(0, slash);
   const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
   if (dir_fd < 0) {
     return Status::IoError("cannot open dir for fsync: " + parent + ": " +
@@ -98,9 +203,7 @@ Status SnapshotWriter::WriteFile(const std::string& path) const {
 }
 
 Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
-  constexpr size_t kHeader =
-      sizeof(SnapshotWriter::kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
-  if (framed.size() < kHeader + sizeof(uint64_t)) {
+  if (framed.size() < kHeaderBytes + sizeof(uint64_t)) {
     return Status::IoError("snapshot truncated: " +
                            std::to_string(framed.size()) + " bytes");
   }
@@ -118,34 +221,55 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
                                ")");
   }
   uint64_t size = 0;
-  std::memcpy(&size, framed.data() + sizeof(SnapshotWriter::kMagic) +
-                         sizeof(version),
-              sizeof(size));
+  std::memcpy(&size, framed.data() + kSizeOffset, sizeof(size));
   // Compare against the actual payload room (already known >= 0 from the
-  // length check above) — `kHeader + size` could wrap for a corrupt size.
-  if (size != framed.size() - kHeader - sizeof(uint64_t)) {
+  // length check above) — `kHeaderBytes + size` could wrap for a corrupt
+  // size.
+  if (size != framed.size() - kHeaderBytes - sizeof(uint64_t)) {
     return Status::IoError("snapshot payload size mismatch: header says " +
                            std::to_string(size) + ", file has " +
-                           std::to_string(framed.size() - kHeader -
+                           std::to_string(framed.size() - kHeaderBytes -
                                           sizeof(uint64_t)));
   }
   uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, framed.data() + kHeader + size,
+  std::memcpy(&stored_checksum, framed.data() + kHeaderBytes + size,
               sizeof(stored_checksum));
-  const uint64_t computed = Fnv1a64(framed.data() + kHeader, size);
+  const uint64_t computed = Fnv1a64(framed.data() + kHeaderBytes, size);
   if (stored_checksum != computed) {
     return Status::IoError("snapshot checksum mismatch");
   }
-  return SnapshotReader(framed.substr(kHeader, size));
+  // Strip the framing in place: a second payload-sized copy would double
+  // the restore's transient memory.
+  framed.resize(kHeaderBytes + size);
+  framed.erase(0, kHeaderBytes);
+  return SnapshotReader(std::move(framed));
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  return buffer.str();
+  // Sized from fstat and read in place: a stream-buffer copy would hold
+  // the file twice while a snapshot or WAL segment loads.
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open for read: " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat: " + path);
+  }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::IoError("read failed: " + path);
+    }
+    if (n == 0) break;  // the file shrank under us: return what exists
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 Result<SnapshotReader> SnapshotReader::FromFile(const std::string& path) {

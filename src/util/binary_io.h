@@ -14,27 +14,38 @@ namespace fdm {
 
 /// FNV-1a 64-bit hash — the checksum behind snapshot files and WAL records.
 /// Not cryptographic; it detects torn writes and bit rot, which is all the
-/// durability layer needs, and it is dependency-free.
-uint64_t Fnv1a64(const void* data, size_t len,
-                 uint64_t seed = 0xcbf29ce484222325ull);
+/// durability layer needs, and it is dependency-free. Passing the hash of
+/// a prefix as `seed` continues it over the next bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
+uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed = kFnv1a64Basis);
 
 /// Reads a whole file into memory (binary). Shared by the snapshot reader
 /// and the WAL segment scanner.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// Buffered writer for the versioned, checksummed snapshot format.
+/// Writer for the versioned, checksummed snapshot format.
 ///
 /// A snapshot is framed as
 ///
 ///   magic "FDMSNAP1" (8 bytes) | format version u32 | payload size u64 |
 ///   payload | FNV-1a 64 of payload
 ///
-/// with every scalar little-endian. The writer accumulates the payload in
-/// memory (sink state is tiny — coresets of O(k·log∆/ε) points — which is
-/// what makes checkpointing essentially free) and frames it on
-/// `WriteFile`/`Serialize`. `WriteFile` is atomic: it writes to a temp file
-/// in the target directory, fsyncs, and renames over the destination, so a
-/// crash mid-snapshot never clobbers the previous good snapshot.
+/// with every scalar little-endian. A writer has one of two targets:
+///
+///  * In memory (default constructor): the payload accumulates in a
+///    string and `Serialize` frames it — for shipped bytes and tests.
+///  * A file (`ToFile`): the payload streams into `<path>.tmp` in fixed
+///    `kChunkBytes` chunks, with a running checksum, so a snapshot never
+///    holds a payload-sized buffer; a span larger than a chunk is written
+///    straight through. `Commit` writes the payload size into the header
+///    (`pwrite`), appends the checksum, fsyncs, renames over `path` and
+///    fsyncs the directory, so a crash mid-snapshot never clobbers the
+///    previous good snapshot. A writer destroyed before a successful
+///    `Commit` (including after a failed one) removes its `.tmp` file.
+///
+/// Both targets produce identical bytes for identical writes. The `Write*`
+/// calls never fail on their own: a file write error latches and
+/// `Commit` reports it.
 class SnapshotWriter {
  public:
   static constexpr char kMagic[8] = {'F', 'D', 'M', 'S', 'N', 'A', 'P', '1'};
@@ -43,6 +54,19 @@ class SnapshotWriter {
   /// cleanly at the header instead of being silently misparsed field by
   /// field.
   static constexpr uint32_t kFormatVersion = 2;
+  /// Payload bytes a file writer buffers between writes.
+  static constexpr size_t kChunkBytes = 64u << 10;
+
+  SnapshotWriter() = default;
+  /// Opens `<path>.tmp` for a streamed snapshot of `path`. Fails (creating
+  /// nothing) when the temp file cannot be created.
+  static Result<SnapshotWriter> ToFile(std::string path);
+
+  SnapshotWriter(SnapshotWriter&& other) noexcept;
+  SnapshotWriter& operator=(SnapshotWriter&& other) noexcept;
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+  ~SnapshotWriter();
 
   void WriteU8(uint8_t v) { Raw(&v, sizeof(v)); }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
@@ -73,23 +97,40 @@ class SnapshotWriter {
   }
 
   /// Unframed payload size so far.
-  size_t PayloadBytes() const { return payload_.size(); }
+  size_t PayloadBytes() const { return flushed_ + buffer_.size(); }
 
-  /// The complete framed snapshot (header + payload + checksum).
+  /// The complete framed snapshot (header + payload + checksum). In-memory
+  /// writers only.
   std::string Serialize() const;
 
-  /// Atomically writes the framed snapshot to `path` (temp file + fsync +
-  /// rename).
-  Status WriteFile(const std::string& path) const;
+  /// Finishes a file writer: the file at `path` then holds exactly the
+  /// bytes `Serialize` would have returned. File writers only.
+  Status Commit();
 
  private:
   void Raw(const void* data, size_t len) {
     if (len == 0) return;  // empty spans legitimately pass data() == null
-    const char* bytes = static_cast<const char*>(data);
-    payload_.insert(payload_.end(), bytes, bytes + len);
+    if (fd_ < 0 || buffer_.size() + len <= kChunkBytes) {
+      buffer_.append(static_cast<const char*>(data), len);
+      return;
+    }
+    Spill(static_cast<const char*>(data), len);
   }
+  /// File target, chunk full: writes the chunk topped up from `data`, then
+  /// the rest of `data` straight through if it still fills a chunk.
+  void Spill(const char* data, size_t len);
+  /// Writes `len` payload bytes to the temp file and folds them into the
+  /// checksum; latches the first error.
+  void WritePayload(const char* data, size_t len);
+  /// Closes and removes the temp file of an unfinished file writer.
+  void Abandon();
 
-  std::string payload_;
+  std::string buffer_;  // whole payload in memory; the open chunk otherwise
+  std::string path_;    // file target; empty in memory
+  int fd_ = -1;
+  uint64_t flushed_ = 0;  // payload bytes already in the temp file
+  uint64_t checksum_ = kFnv1a64Basis;  // FNV-1a of those bytes
+  Status error_;
 };
 
 /// Bounds-checked reader over a framed snapshot with a sticky error: the

@@ -5,6 +5,7 @@
 
 #include "service/durable_session.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "service/session_layout.h"
 #include "service/sink_spec.h"
 
 namespace fdm {
@@ -209,6 +211,51 @@ TEST_F(DurableSessionTest, RejectsInvalidPointsBeforeTheWal) {
   }
 }
 
+// A checksum-valid WAL record the spec does not admit (written past the
+// session's ingest check, e.g. by an older build or a foreign writer) must
+// fail the open with an error naming its segment and seq, not abort in a
+// sink's FDM_CHECK (group = m) or come back into the sink (NaN).
+TEST_F(DurableSessionTest, OpenRejectsLoggedRecordsOutsideTheSpec) {
+  const Dataset ds = TestData(2);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  const double nan = std::nan("");
+  const std::vector<double> good = {0.5, 0.5};
+  const std::vector<double> not_finite = {0.5, nan};
+  struct Case {
+    std::string name;
+    StreamPoint bad;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"group_m", StreamPoint{1000, 2, good}, "point group 2 out of range"},
+      {"nan", StreamPoint{1000, 0, not_finite}, "must be finite"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = dir_ + "/" + c.name;
+    {
+      auto session = DurableSession::Create(dir, spec);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (size_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      }
+    }
+    {
+      auto wal = WriteAheadLog::Open(dir + "/wal");
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      ASSERT_TRUE(wal->Append(c.bad).ok());
+      ASSERT_TRUE(wal->Sync().ok());
+    }
+    auto reopened = DurableSession::Open(dir);
+    ASSERT_FALSE(reopened.ok());
+    const std::string message = reopened.status().message();
+    EXPECT_NE(message.find("seq 11"), std::string::npos) << message;
+    EXPECT_NE(message.find(WalSegmentFileName(1)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(c.message), std::string::npos) << message;
+  }
+}
+
 TEST_F(DurableSessionTest, RecoveryFallsBackWhenNewestSnapshotIsCorrupt) {
   const Dataset ds = TestData(1);
   const std::string spec = "algo=streaming_dm dim=2 k=4" + BoundsSuffix(ds);
@@ -275,19 +322,86 @@ TEST_F(DurableSessionTest, FallbackToOlderSnapshotAfterNewestCorrupts) {
   ExpectSameSolution(**reference, recovered->sink());
 }
 
-TEST_F(DurableSessionTest, AutoSnapshotHonorsCadence) {
-  const Dataset ds = TestData(1);
-  DurableSessionOptions options;
-  options.snapshot_every = 40;
-  const std::string spec = "algo=streaming_dm dim=2 k=3" + BoundsSuffix(ds);
-  auto session = DurableSession::Create(dir_, spec, options);
-  ASSERT_TRUE(session.ok());
-  for (size_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(session->Observe(ds.At(i)).ok());
-  }
-  // 100 observations at cadence 40 → snapshots at 40 and 80.
-  EXPECT_EQ(session->SnapshotSeq(), 80);
-  EXPECT_EQ(session->UnsnapshottedRecords(), 20);
+// The checkpoint rule is what bounds crash recovery: after an ingest the
+// session snapshots once the WAL since its newest snapshot reaches
+// kCheckpointWalRatio × max(that snapshot's payload, kCheckpointFloorBytes).
+// Ingests `n` points in 1000-point batches, drops the session without a
+// final snapshot (a crash), reopens it, and checks that the replay is
+// exactly the records past the newest snapshot on disk, that it stays
+// under the rule's bound computed from that file's size, and that the
+// recovered sink solves bit-identically to one fed the whole stream.
+// Returns the seqs of the snapshots left on disk.
+std::vector<int64_t> CrashAndCheckReplayBound(const std::string& dir,
+                                              bool dedup, size_t n) {
+  BlobsOptions opt;
+  opt.n = n;
+  opt.seed = 47;
+  const Dataset ds = MakeBlobs(opt);
+  const std::string spec = std::string("algo=sfdm2 dim=2 quotas=2,2 ") +
+                           "dmin=0.05 dmax=40" + (dedup ? " dedup=on" : "");
+  auto reference = MakeSinkFromSpec(spec);
+  EXPECT_TRUE(reference.ok());
+  if (!reference.ok()) return {};
+  constexpr size_t kBatch = 1000;
+  {
+    auto session = DurableSession::Create(dir, spec);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (!session.ok()) return {};
+    std::vector<StreamPoint> batch;
+    for (size_t begin = 0; begin < n; begin += kBatch) {
+      batch.clear();
+      for (size_t i = begin; i < std::min(n, begin + kBatch); ++i) {
+        batch.push_back(ds.At(i));
+      }
+      EXPECT_TRUE(session->ObserveBatch(batch).ok());
+      (*reference)->ObserveBatch(batch);
+    }
+  }  // dropped: no final snapshot
+
+  const auto snapshots = ListSessionSnapshots(dir + "/snap");
+  EXPECT_FALSE(snapshots.empty());
+  if (snapshots.empty()) return {};
+  std::vector<int64_t> snapshot_seqs;
+  for (const auto& snapshot : snapshots) snapshot_seqs.push_back(snapshot.first);
+  // Framing: magic, version and size before the payload, checksum after.
+  const int64_t newest_payload =
+      static_cast<int64_t>(std::filesystem::file_size(snapshots.back().second)) -
+      28;
+
+  auto recovered = DurableSession::Open(dir);
+  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+  if (!recovered.ok()) return {};
+  const int64_t newest = snapshot_seqs.back();
+  const int64_t replayed = recovered->IngestCounters().replayed_records;
+  const int64_t bound = 4 * std::max<int64_t>(newest_payload, 1 << 20) /
+                        static_cast<int64_t>(WalRecordBytes(2));
+  EXPECT_EQ(recovered->SnapshotSeq(), newest);
+  EXPECT_EQ(replayed, static_cast<int64_t>(n) - newest);
+  EXPECT_LE(replayed, bound);
+  EXPECT_EQ(recovered->CheckpointWalBytes(),
+            4 * std::max<int64_t>(newest_payload, 1 << 20));
+  ExpectSameSolution(**reference, recovered->sink());
+  EXPECT_EQ(recovered->StateVersion(), (*reference)->StateVersion());
+  return snapshot_seqs;
+}
+
+TEST_F(DurableSessionTest, CheckpointRuleBoundsCrashReplay) {
+  // Under the 1 MiB floor a 52-byte record checkpoints every
+  // ceil(4 MiB / 52) = 80,660 records, i.e. at the ends of the batches
+  // holding records 80,660 and 161,660: seqs 81,000 and 162,000.
+  const std::vector<int64_t> seqs =
+      CrashAndCheckReplayBound(dir_, /*dedup=*/false, 200'000);
+  EXPECT_EQ(seqs, (std::vector<int64_t>{81'000, 162'000}));
+}
+
+TEST_F(DurableSessionTest, CheckpointRuleScalesWithTheDedupFooter) {
+  // With dedup=on the footer holds every id (8 bytes each), so the
+  // snapshot outgrows the 1 MiB floor and the rule's interval grows with
+  // it: the gap after the second checkpoint exceeds the floor's 80,660.
+  const std::vector<int64_t> seqs =
+      CrashAndCheckReplayBound(dir_, /*dedup=*/true, 300'000);
+  ASSERT_EQ(seqs.size(), 2u);  // keep_snapshots = 2
+  EXPECT_GT(seqs[1] - seqs[0], 81'000);
 }
 
 TEST_F(DurableSessionTest, SnapshotPrunesWalSegments) {

@@ -9,6 +9,7 @@
 #include "replica/replica_session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -265,6 +266,56 @@ TEST_F(ReplicaTest, StalenessFlaggedAndLagMonotoneDuringCatchUp) {
 // Pruning race, bootstrap flavor: the follower holds a manifest listing a
 // snapshot and segments the primary prunes before the fetches land. The
 // follower must fall back to the next manifest and converge bit-exactly.
+// The follower twin of the recovery check: a checksum-valid tail record
+// the spec does not admit (group = m, a NaN coordinate) is an error naming
+// its segment and seq; the follower keeps what precedes it and stays
+// servable instead of aborting in a sink's FDM_CHECK.
+TEST_F(ReplicaTest, TailRecordOutsideTheSpecIsAnErrorNotACrash) {
+  const Dataset ds = TestData(2);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  const std::vector<double> good = {0.5, 0.5};
+  const std::vector<double> not_finite = {0.5, std::nan("")};
+  struct Case {
+    std::string name;
+    StreamPoint bad;
+  };
+  const std::vector<Case> cases = {
+      {"group_m", StreamPoint{1000, 2, good}},
+      {"nan", StreamPoint{1000, 1, not_finite}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = dir_ + "/" + c.name;
+    {
+      auto primary = DurableSession::Create(dir, spec);
+      ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+      for (size_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+      }
+      ASSERT_TRUE(primary->Sync().ok());
+    }
+    auto follower = ReplicaSession::Bootstrap(
+        std::make_shared<DirReplicationSource>(dir));
+    ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+    ASSERT_EQ(follower->Stats().applied_seq, 10);
+    {
+      auto wal = WriteAheadLog::Open(dir + "/wal");
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      ASSERT_TRUE(wal->Append(ds.At(10)).ok());
+      ASSERT_TRUE(wal->Append(c.bad).ok());
+      ASSERT_TRUE(wal->Sync().ok());
+    }
+    auto polled = follower->Poll();
+    ASSERT_FALSE(polled.ok());
+    const std::string message = polled.status().message();
+    EXPECT_NE(message.find("seq 12"), std::string::npos) << message;
+    EXPECT_NE(message.find(WalSegmentFileName(1)), std::string::npos)
+        << message;
+    EXPECT_EQ(follower->Stats().applied_seq, 11);
+    EXPECT_TRUE(follower->Solve().ok());
+  }
+}
+
 TEST_F(ReplicaTest, SnapshotPrunedMidBootstrapFallsBackToNextManifest) {
   const Dataset ds = TestData(2, 400, 39);
   const std::string spec = "algo=streaming_dm dim=2 k=4" + BoundsSuffix(ds);

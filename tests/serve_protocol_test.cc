@@ -288,6 +288,51 @@ TEST_F(ServeProtocolTest, NonFiniteBatchLineIsRejectedAndDrained) {
 }
 
 // ---------------------------------------------------------------------------
+// Regression: the fair kinds checked only `dim > 0` and summed quotas in an
+// `int`, so a CREATE whose quotas overflow the sum, or whose dim no point
+// can have, answered OK. A constraint whose quota sum overflows an int is
+// now invalid, and the fair kinds take the same k/dim shape check as the
+// other kinds.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeProtocolTest, FairKindsRejectOversizedQuotasAndDim) {
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  const std::string bounds = " dmin=1 dmax=2\n";
+  const std::string out = RunStdin(
+      dispatcher,
+      "CREATE a algo=sfdm2 dim=2 quotas=2147483647,2147483647" + bounds +
+          "CREATE b algo=sfdm1 dim=2 quotas=2147483647,2147483647" + bounds +
+          "CREATE c algo=sfdm2 dim=2 quotas=1048576,1" + bounds +
+          "CREATE d algo=sfdm2 dim=4611686018427387904 quotas=2,2" + bounds +
+          "CREATE e algo=sfdm1 dim=4611686018427387904 quotas=2,2" + bounds +
+          "CREATE ok algo=sfdm2 dim=2 quotas=2,2" + bounds + "LIST\n");
+  std::vector<std::string> lines;
+  for (size_t at = 0; at < out.size();) {
+    const size_t end = out.find('\n', at);
+    lines.push_back(out.substr(at, end - at));
+    at = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 7u) << out;
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(lines[i].rfind("ERR ", 0), 0u) << lines[i];
+    EXPECT_NE(lines[i].find("quota sum 4294967294 does not fit in an int"),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[2].rfind("ERR ", 0), 0u) << lines[2];
+  EXPECT_NE(lines[2].find("k must be in [1, 1048576]"), std::string::npos)
+      << lines[2];
+  for (size_t i = 3; i < 5; ++i) {
+    EXPECT_EQ(lines[i].rfind("ERR ", 0), 0u) << lines[i];
+    EXPECT_NE(lines[i].find("dim must be in [1, 1048576]"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[5], "OK");
+  EXPECT_EQ(lines[6], "OK ok");  // no refused session was created
+}
+
+// ---------------------------------------------------------------------------
 // Regression: a malformed last coordinate (`3e`, `-.`, `5e+`, `1e400`) used
 // to be dropped silently — `>>` latches eofbit along with failbit on a
 // token that runs to end of line, which the parser read as a clean end —

@@ -59,7 +59,7 @@ TEST_F(WalTest, AppendReplayMatchesDirectIngest) {
   ASSERT_TRUE(replayed.ok());
   for (size_t i = 0; i < ds.size(); ++i) direct->Observe(ds.At(i));
 
-  auto count = wal->Replay(0, *replayed);
+  auto count = wal->Replay(0, *replayed, {ds.dim()});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, static_cast<int64_t>(ds.size()));
   EXPECT_EQ(replayed->ObservedElements(), direct->ObservedElements());
@@ -82,7 +82,7 @@ TEST_F(WalTest, ReplayAfterSeqSkipsPrefix) {
   auto sink = StreamingDm::Create(3, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(25, *sink);
+  auto count = wal->Replay(25, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, static_cast<int64_t>(ds.size()) - 25);
   EXPECT_EQ(sink->ObservedElements(), static_cast<int64_t>(ds.size()) - 25);
@@ -116,7 +116,7 @@ TEST_F(WalTest, RotatesSegmentsAndSurvivesReopen) {
   auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
+  auto count = wal->Replay(0, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, appended + 20);
 }
@@ -148,7 +148,7 @@ TEST_F(WalTest, TornTailIsToleratedAndTruncatedOnReopen) {
   auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
+  auto count = wal->Replay(0, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, static_cast<int64_t>(ds.size()) - 1);
 
@@ -182,7 +182,7 @@ TEST_F(WalTest, EmptyActiveSegmentIsRecoverableAndReplayable) {
   auto sink = StreamingDm::Create(3, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
+  auto count = wal->Replay(0, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 10);
   // And the re-initialized segment accepts appends at the right seq.
@@ -237,7 +237,7 @@ TEST_F(WalTest, ZeroLengthSegmentMidLogIsSkippedNotCorruption) {
   auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
+  auto count = wal->Replay(0, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 60);
   ASSERT_TRUE(wal->Append(ds.At(60)).ok());
@@ -295,7 +295,7 @@ TEST_F(WalTest, TruncateBeforeDropsWholeObsoleteSegments) {
   auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(199, *sink);
+  auto count = wal->Replay(199, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 250 - 199);
 }
@@ -313,7 +313,7 @@ TEST_F(WalTest, BatchAppendMatchesSingleAppends) {
   auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
   ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
+  auto count = wal->Replay(0, *sink, {ds.dim()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, static_cast<int64_t>(ds.size()));
 }

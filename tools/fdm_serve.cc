@@ -1,7 +1,7 @@
 // fdm_serve — serving front end over the durable session manager, for
 // demos, soak tests, scripts, and (with --listen) networked clients.
 //
-//   ./fdm_serve [--root=DIR] [--snapshot_every=N] [--max_resident=N]
+//   ./fdm_serve [--root=DIR] [--max_resident=N]
 //               [--background_ms=N] [--threads=N]
 //               [--metrics-dump=PATH[,PERIOD_MS]]
 //               [--listen=PORT [--listen_host=ADDR] [--net_threads=N]
@@ -43,6 +43,14 @@
 // its dimension is wrong, a coordinate is non-finite (inf/nan), or — on
 // the fair kinds — its group is outside [0, m); a bad point anywhere in
 // an OBSERVEB rejects the whole batch.
+//
+// Checkpoints need no flag: after an ingest, a session snapshots once the
+// WAL bytes logged since its newest snapshot (36 + 8·dim per point) reach
+// 4 × max(that snapshot's payload bytes, 1 MiB). Replay after a crash is
+// therefore bounded by about four snapshots' worth of WAL (plus at most
+// one 4 MiB segment read past), not by the stream length, and snapshots
+// write about a quarter of the bytes the WAL writes. Spill, SNAPSHOT,
+// QUIT and `--background_ms` (a periodic sweep) snapshot as well.
 //
 // `--threads=N` is the process fan-out width, the one thread setting of
 // the sinks and the session manager: the guess-ladder rungs of a batched
@@ -180,8 +188,6 @@ int Main(int argc, char** argv) {
   if (args.Has("follow")) return FollowerMain(args);
   SessionManagerOptions options;
   options.root_dir = args.GetString("root", "fdm_sessions");
-  options.session.snapshot_every =
-      static_cast<size_t>(args.GetInt("snapshot_every", 0));
   options.max_resident =
       static_cast<size_t>(args.GetInt("max_resident", 0));
   options.background_snapshot_ms =
